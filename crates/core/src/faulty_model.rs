@@ -108,6 +108,54 @@ impl FaultyModel {
         }
     }
 
+    /// Derives a model over the same golden network and evaluation set
+    /// with the sites selected by `spec` and a new fault model — how a
+    /// study runs one campaign per layer or per flip probability without
+    /// re-running the golden network for each.
+    ///
+    /// The derived model shares this one's golden predictions, golden
+    /// error and prefix-activation cache, and starts **fresh** sparse-delta
+    /// counters, so its reports are byte-identical to those of a
+    /// [`FaultyModel::new`] over the same arguments. The cache is built
+    /// here only if this model has none (it was built over transient
+    /// sites) and the new sites are all parameter sites.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec resolves to nothing.
+    pub fn with_sites(&self, spec: &SiteSpec, fault_model: Arc<dyn FaultModel>) -> Self {
+        let mut model = self.model.clone();
+        let sites = resolve_sites(&model, spec);
+        assert!(
+            !sites.is_empty(),
+            "site spec resolved to no injection sites"
+        );
+        let transient = !sites.activations.is_empty() || sites.input;
+        let prefix = if transient {
+            None
+        } else {
+            Some(self.prefix.clone().unwrap_or_else(|| {
+                Arc::new(PrefixCache::build(
+                    &mut model,
+                    self.eval.inputs(),
+                    self.batch_size,
+                ))
+            }))
+        };
+        FaultyModel {
+            model,
+            eval: Arc::clone(&self.eval),
+            sites,
+            fault_model,
+            batch_size: self.batch_size,
+            golden_preds: Arc::clone(&self.golden_preds),
+            golden_error: self.golden_error,
+            prefix,
+            delta_stats: Arc::new(DeltaStats::default()),
+            delta_enabled: self.delta_enabled,
+        }
+    }
+
     /// Enables or disables the sparse-delta path (on by default). With it
     /// off, every evaluation takes the incremental dense path; results are
     /// bit-identical either way.
@@ -376,6 +424,46 @@ mod tests {
         );
         let e = clean_fm.eval_error(&FaultConfig::clean(), &mut rng);
         assert_eq!(e, clean_fm.golden_error());
+    }
+
+    #[test]
+    fn derived_model_matches_a_fresh_one() {
+        let (base, _) = setup(0.02);
+        let spec = SiteSpec::LayerParams {
+            prefix: "fc2".into(),
+        };
+        let fault: Arc<dyn FaultModel> = Arc::new(BernoulliBitFlip::new(0.05));
+        let mut derived = base.with_sites(&spec, Arc::clone(&fault));
+        let (golden, _) = setup(0.0);
+        let mut fresh = FaultyModel::new(golden.model, Arc::clone(&base.eval), &spec, fault);
+        assert!(Arc::ptr_eq(
+            derived.prefix.as_ref().unwrap(),
+            base.prefix.as_ref().unwrap()
+        ));
+        assert_eq!(derived.golden_error(), fresh.golden_error());
+        assert_eq!(derived.golden_preds(), fresh.golden_preds());
+        assert_eq!(derived.sites().params, fresh.sites().params);
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..4 {
+            let cfg = fresh.sample_config(&mut rng);
+            let a = derived.eval_logits(&cfg, &mut rng);
+            let b = fresh.eval_logits(&cfg, &mut rng);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b));
+        }
+        assert_eq!(derived.delta_counters(), fresh.delta_counters());
+        assert_eq!(base.delta_counters(), (0, 0), "counters leaked to the base");
+        // Transient sites drop the cache; deriving parameter sites back
+        // from such a model rebuilds it.
+        let transient = base.with_sites(
+            &SiteSpec::Activations(vec!["fc1".into()]),
+            Arc::new(BernoulliBitFlip::new(0.0)),
+        );
+        assert!(transient.prefix.is_none());
+        let rebuilt =
+            transient.with_sites(&SiteSpec::AllParams, Arc::new(BernoulliBitFlip::new(0.0)));
+        assert!(rebuilt.prefix.is_some());
+        assert_eq!(rebuilt.golden_error(), base.golden_error());
     }
 
     #[test]

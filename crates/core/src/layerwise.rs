@@ -14,11 +14,11 @@ use crate::shard::{ShardError, ShardPlan};
 use crate::stats::spearman;
 use crate::workload::QuantFaultyModel;
 use bdlfi_data::Dataset;
-use bdlfi_faults::{BernoulliBitFlip, SiteSpec};
+use bdlfi_faults::{BernoulliBitFlip, FaultModel, SiteSpec};
 use bdlfi_nn::Sequential;
 use bdlfi_quant::QuantModel;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How the fault burden is allocated to each injected layer.
 ///
@@ -99,6 +99,116 @@ pub struct LayerwiseResult {
     pub run_meta: RunMeta,
 }
 
+/// The preconditions every layerwise driver checks before running.
+fn check_study(layers: &[&str], budget: LayerBudget) {
+    assert!(
+        !layers.is_empty(),
+        "layerwise study needs at least one layer"
+    );
+    if let LayerBudget::PerBit(p) = budget {
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "flip probability must be in [0, 1]"
+        );
+    }
+}
+
+/// Assembles a study from its per-layer results (in depth order) and the
+/// engine's meta for the fan-out.
+fn assemble(results: Vec<LayerResult>, mut run_meta: RunMeta) -> LayerwiseResult {
+    let golden_error = results[0].report.golden_error;
+    let depths: Vec<f64> = results.iter().map(|r| r.depth as f64).collect();
+    let errors: Vec<f64> = results.iter().map(|r| r.report.mean_error).collect();
+    let depth_correlation = spearman(&depths, &errors);
+
+    // Roll the per-layer campaigns' sparse-delta accounting up into the
+    // outer meta so the study-level report shows the aggregate hit rate.
+    run_meta.delta_hits = results.iter().map(|r| r.report.run_meta.delta_hits).sum();
+    run_meta.delta_fallbacks = results
+        .iter()
+        .map(|r| r.report.run_meta.delta_fallbacks)
+        .sum();
+
+    LayerwiseResult {
+        layers: results,
+        golden_error,
+        depth_correlation,
+        run_meta,
+    }
+}
+
+/// The campaign of layer `depth` in a layerwise study, run by every f32
+/// layerwise driver. The study shares one golden model: the first task
+/// to run builds it (its prefix cache, golden predictions and golden
+/// error), and each task derives its own sites and fault model from it
+/// with [`FaultyModel::with_sites`].
+fn layer_campaign(
+    golden: &OnceLock<FaultyModel>,
+    model: &Sequential,
+    eval: &Arc<Dataset>,
+    names: &[String],
+    budget: LayerBudget,
+    cfg: &CampaignConfig,
+    depth: usize,
+) -> LayerResult {
+    let layer = names[depth].clone();
+    let spec = SiteSpec::LayerParams {
+        prefix: layer.clone(),
+    };
+    // Resolve first to size the budget.
+    let elements = bdlfi_faults::resolve_sites(model, &spec).total_param_elements();
+    let p = budget.probability_for(elements);
+    let fault: Arc<dyn FaultModel> = Arc::new(BernoulliBitFlip::new(p));
+    let fm = golden
+        .get_or_init(|| {
+            FaultyModel::new(model.clone(), Arc::clone(eval), &spec, Arc::clone(&fault))
+        })
+        .with_sites(&spec, fault);
+    LayerResult {
+        depth,
+        layer,
+        elements,
+        p,
+        report: run_campaign(&fm, cfg).journal_form(),
+    }
+}
+
+/// The quantized twin of [`layer_campaign`], with the fault burden sized
+/// by the layer's injectable *bit* count.
+fn quant_layer_campaign(
+    golden: &OnceLock<QuantFaultyModel>,
+    qm: &QuantModel,
+    eval: &Arc<Dataset>,
+    names: &[String],
+    budget: LayerBudget,
+    cfg: &CampaignConfig,
+    depth: usize,
+) -> LayerResult {
+    let layer = names[depth].clone();
+    let spec = SiteSpec::LayerParams {
+        prefix: layer.clone(),
+    };
+    // Size the budget by the layer's injectable bit space, which mixes
+    // 8-bit and 32-bit sites.
+    let sites = qm.sites_matching(&spec);
+    let elements = sites.total_param_elements();
+    let bits: u64 = sites.params.iter().map(|s| s.injectable_bits()).sum();
+    let p = budget.probability_for_bits(bits);
+    let fault: Arc<dyn FaultModel> = Arc::new(BernoulliBitFlip::new(p));
+    let qfm = golden
+        .get_or_init(|| {
+            QuantFaultyModel::new(qm.clone(), Arc::clone(eval), &spec, Arc::clone(&fault))
+        })
+        .with_sites(&spec, fault);
+    LayerResult {
+        depth,
+        layer,
+        elements,
+        p,
+        report: run_campaign(&qfm, cfg).journal_form(),
+    }
+}
+
 /// Runs one BDLFI campaign per layer prefix, injecting only into that
 /// layer's parameters, with the fault burden allocated by `budget`.
 ///
@@ -147,16 +257,7 @@ pub fn run_layerwise_controlled(
     ctl: &RunControl,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<LayerwiseResult, EngineError> {
-    assert!(
-        !layers.is_empty(),
-        "layerwise study needs at least one layer"
-    );
-    if let LayerBudget::PerBit(p) = budget {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "flip probability must be in [0, 1]"
-        );
-    }
+    check_study(layers, budget);
 
     // One campaign per layer, fanned out through the engine; each
     // campaign is deterministic in (cfg.seed, layer), so the study is
@@ -172,59 +273,27 @@ pub fn run_layerwise_controlled(
         }
         s
     });
+    let golden = OnceLock::new();
     let mut sink = CollectSink::new();
     let run_meta = engine.run_checkpointed(
         names.len(),
         || (),
         |(), ctx| {
-            let depth = ctx.task_id;
-            let layer = names[depth].clone();
-            let spec = SiteSpec::LayerParams {
-                prefix: layer.clone(),
-            };
-            // Resolve first to size the budget.
-            let elements = bdlfi_faults::resolve_sites(model, &spec).total_param_elements();
-            let p = budget.probability_for(elements);
-            let fm = FaultyModel::new(
-                model.clone(),
-                Arc::clone(eval),
-                &spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(LayerResult {
-                depth,
-                layer,
-                elements,
-                p,
-                report: run_campaign(&fm, cfg).journal_form(),
-            })
+            Ok(layer_campaign(
+                &golden,
+                model,
+                eval,
+                &names,
+                budget,
+                cfg,
+                ctx.task_id,
+            ))
         },
         &mut sink,
         ctl,
         ckpt.as_ref(),
     )?;
-    let results = sink.into_inner();
-
-    let golden_error = results[0].report.golden_error;
-    let depths: Vec<f64> = results.iter().map(|r| r.depth as f64).collect();
-    let errors: Vec<f64> = results.iter().map(|r| r.report.mean_error).collect();
-    let depth_correlation = spearman(&depths, &errors);
-
-    // Roll the per-layer campaigns' sparse-delta accounting up into the
-    // outer meta so the study-level report shows the aggregate hit rate.
-    let mut run_meta = run_meta;
-    run_meta.delta_hits = results.iter().map(|r| r.report.run_meta.delta_hits).sum();
-    run_meta.delta_fallbacks = results
-        .iter()
-        .map(|r| r.report.run_meta.delta_fallbacks)
-        .sum();
-
-    Ok(LayerwiseResult {
-        layers: results,
-        golden_error,
-        depth_correlation,
-        run_meta,
-    })
+    Ok(assemble(sink.into_inner(), run_meta))
 }
 
 /// [`run_layerwise`] over the *quantized* workload: one campaign per
@@ -277,16 +346,7 @@ pub fn run_layerwise_quant_controlled(
     ctl: &RunControl,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<LayerwiseResult, EngineError> {
-    assert!(
-        !layers.is_empty(),
-        "layerwise study needs at least one layer"
-    );
-    if let LayerBudget::PerBit(p) = budget {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "flip probability must be in [0, 1]"
-        );
-    }
+    check_study(layers, budget);
 
     let names: Vec<String> = layers.iter().map(|&l| l.to_string()).collect();
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
@@ -299,62 +359,27 @@ pub fn run_layerwise_quant_controlled(
         }
         s
     });
+    let golden = OnceLock::new();
     let mut sink = CollectSink::new();
     let run_meta = engine.run_checkpointed(
         names.len(),
         || (),
         |(), ctx| {
-            let depth = ctx.task_id;
-            let layer = names[depth].clone();
-            let spec = SiteSpec::LayerParams {
-                prefix: layer.clone(),
-            };
-            // Size the budget by the layer's injectable bit space, which
-            // mixes 8-bit and 32-bit sites.
-            let sites = qm.sites_matching(&spec);
-            let elements = sites.total_param_elements();
-            let bits: u64 = sites.params.iter().map(|s| s.injectable_bits()).sum();
-            let p = budget.probability_for_bits(bits);
-            let qfm = QuantFaultyModel::new(
-                qm.clone(),
-                Arc::clone(eval),
-                &spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(LayerResult {
-                depth,
-                layer,
-                elements,
-                p,
-                report: run_campaign(&qfm, cfg).journal_form(),
-            })
+            Ok(quant_layer_campaign(
+                &golden,
+                qm,
+                eval,
+                &names,
+                budget,
+                cfg,
+                ctx.task_id,
+            ))
         },
         &mut sink,
         ctl,
         ckpt.as_ref(),
     )?;
-    let results = sink.into_inner();
-
-    let golden_error = results[0].report.golden_error;
-    let depths: Vec<f64> = results.iter().map(|r| r.depth as f64).collect();
-    let errors: Vec<f64> = results.iter().map(|r| r.report.mean_error).collect();
-    let depth_correlation = spearman(&depths, &errors);
-
-    // Roll the per-layer campaigns' sparse-delta accounting up into the
-    // outer meta so the study-level report shows the aggregate hit rate.
-    let mut run_meta = run_meta;
-    run_meta.delta_hits = results.iter().map(|r| r.report.run_meta.delta_hits).sum();
-    run_meta.delta_fallbacks = results
-        .iter()
-        .map(|r| r.report.run_meta.delta_fallbacks)
-        .sum();
-
-    Ok(LayerwiseResult {
-        layers: results,
-        golden_error,
-        depth_correlation,
-        run_meta,
-    })
+    Ok(assemble(sink.into_inner(), run_meta))
 }
 
 /// Runs one shard of a layerwise study split `count` ways: the layers in
@@ -388,16 +413,7 @@ pub fn run_layerwise_shard(
     ctl: &RunControl,
     ckpt: &CheckpointSpec,
 ) -> Result<RunMeta, ShardError> {
-    assert!(
-        !layers.is_empty(),
-        "layerwise study needs at least one layer"
-    );
-    if let LayerBudget::PerBit(p) = budget {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "flip probability must be in [0, 1]"
-        );
-    }
+    check_study(layers, budget);
     let names: Vec<String> = layers.iter().map(|&l| l.to_string()).collect();
     let base = if ckpt.fingerprint.is_empty() {
         fingerprint(
@@ -413,32 +429,21 @@ pub fn run_layerwise_shard(
         ..ckpt.clone()
     };
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
+    let golden = OnceLock::new();
     let meta = engine.run_shard_checkpointed(
         plan.info(index)?,
         plan.range(index)?.len(),
         || (),
         |(), ctx| {
-            let depth = ctx.task_id;
-            let layer = names[depth].clone();
-            let spec = SiteSpec::LayerParams {
-                prefix: layer.clone(),
-            };
-            // Resolve first to size the budget.
-            let elements = bdlfi_faults::resolve_sites(model, &spec).total_param_elements();
-            let p = budget.probability_for(elements);
-            let fm = FaultyModel::new(
-                model.clone(),
-                Arc::clone(eval),
-                &spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(LayerResult {
-                depth,
-                layer,
-                elements,
-                p,
-                report: run_campaign(&fm, cfg).journal_form(),
-            })
+            Ok(layer_campaign(
+                &golden,
+                model,
+                eval,
+                &names,
+                budget,
+                cfg,
+                ctx.task_id,
+            ))
         },
         &mut NullSink,
         ctl,
@@ -470,16 +475,7 @@ pub fn run_layerwise_quant_shard(
     ctl: &RunControl,
     ckpt: &CheckpointSpec,
 ) -> Result<RunMeta, ShardError> {
-    assert!(
-        !layers.is_empty(),
-        "layerwise study needs at least one layer"
-    );
-    if let LayerBudget::PerBit(p) = budget {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "flip probability must be in [0, 1]"
-        );
-    }
+    check_study(layers, budget);
     let names: Vec<String> = layers.iter().map(|&l| l.to_string()).collect();
     let base = if ckpt.fingerprint.is_empty() {
         fingerprint(
@@ -495,35 +491,21 @@ pub fn run_layerwise_quant_shard(
         ..ckpt.clone()
     };
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
+    let golden = OnceLock::new();
     let meta = engine.run_shard_checkpointed(
         plan.info(index)?,
         plan.range(index)?.len(),
         || (),
         |(), ctx| {
-            let depth = ctx.task_id;
-            let layer = names[depth].clone();
-            let spec = SiteSpec::LayerParams {
-                prefix: layer.clone(),
-            };
-            // Size the budget by the layer's injectable bit space, which
-            // mixes 8-bit and 32-bit sites.
-            let sites = qm.sites_matching(&spec);
-            let elements = sites.total_param_elements();
-            let bits: u64 = sites.params.iter().map(|s| s.injectable_bits()).sum();
-            let p = budget.probability_for_bits(bits);
-            let qfm = QuantFaultyModel::new(
-                qm.clone(),
-                Arc::clone(eval),
-                &spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(LayerResult {
-                depth,
-                layer,
-                elements,
-                p,
-                report: run_campaign(&qfm, cfg).journal_form(),
-            })
+            Ok(quant_layer_campaign(
+                &golden,
+                qm,
+                eval,
+                &names,
+                budget,
+                cfg,
+                ctx.task_id,
+            ))
         },
         &mut NullSink,
         ctl,

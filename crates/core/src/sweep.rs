@@ -13,11 +13,11 @@ use crate::shard::{ShardError, ShardPlan};
 use crate::stats::{fit_knee, KneeFit};
 use crate::workload::QuantFaultyModel;
 use bdlfi_data::Dataset;
-use bdlfi_faults::{BernoulliBitFlip, SiteSpec};
+use bdlfi_faults::{BernoulliBitFlip, FaultModel, SiteSpec};
 use bdlfi_nn::Sequential;
 use bdlfi_quant::QuantModel;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One row of a sweep: the flip probability and the campaign outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -87,6 +87,78 @@ pub fn log_spaced_probabilities(lo: f64, hi: f64, points: usize) -> Vec<f64> {
         .collect()
 }
 
+/// The preconditions every sweep driver checks before running.
+fn check_probabilities(ps: &[f64]) {
+    assert!(!ps.is_empty(), "sweep needs at least one probability");
+    assert!(
+        ps.iter().all(|p| (0.0..=1.0).contains(p)),
+        "probabilities must be in [0, 1]"
+    );
+}
+
+/// Assembles a sweep from its points (in the caller's `ps` order) and the
+/// engine's meta for the fan-out.
+fn assemble(mut points: Vec<SweepPoint>, mut run_meta: RunMeta) -> SweepResult {
+    points.sort_by(|a, b| a.p.total_cmp(&b.p));
+    let golden_error = points[0].report.golden_error;
+    // Roll the per-point campaigns' sparse-delta accounting up into the
+    // sweep-level meta.
+    run_meta.delta_hits = points.iter().map(|s| s.report.run_meta.delta_hits).sum();
+    run_meta.delta_fallbacks = points
+        .iter()
+        .map(|s| s.report.run_meta.delta_fallbacks)
+        .sum();
+    SweepResult {
+        points,
+        golden_error,
+        run_meta,
+    }
+}
+
+/// The campaign at flip probability `p` of a sweep, run by every f32
+/// sweep driver. The sweep shares one golden model: the first point to
+/// run builds it (its prefix cache, golden predictions and golden error),
+/// and each point derives its own fault model from it with
+/// [`FaultyModel::with_sites`].
+fn sweep_point(
+    golden: &OnceLock<FaultyModel>,
+    model: &Sequential,
+    eval: &Arc<Dataset>,
+    spec: &SiteSpec,
+    p: f64,
+    cfg: &CampaignConfig,
+) -> SweepPoint {
+    let fault: Arc<dyn FaultModel> = Arc::new(BernoulliBitFlip::new(p));
+    let fm = golden
+        .get_or_init(|| FaultyModel::new(model.clone(), Arc::clone(eval), spec, Arc::clone(&fault)))
+        .with_sites(spec, fault);
+    SweepPoint {
+        p,
+        report: run_campaign(&fm, cfg).journal_form(),
+    }
+}
+
+/// The quantized twin of [`sweep_point`].
+fn quant_sweep_point(
+    golden: &OnceLock<QuantFaultyModel>,
+    qm: &QuantModel,
+    eval: &Arc<Dataset>,
+    spec: &SiteSpec,
+    p: f64,
+    cfg: &CampaignConfig,
+) -> SweepPoint {
+    let fault: Arc<dyn FaultModel> = Arc::new(BernoulliBitFlip::new(p));
+    let qfm = golden
+        .get_or_init(|| {
+            QuantFaultyModel::new(qm.clone(), Arc::clone(eval), spec, Arc::clone(&fault))
+        })
+        .with_sites(spec, fault);
+    SweepPoint {
+        p,
+        report: run_campaign(&qfm, cfg).journal_form(),
+    }
+}
+
 /// Runs one BDLFI campaign per probability in `ps`, injecting into the
 /// sites selected by `spec` of the given golden model.
 ///
@@ -127,11 +199,7 @@ pub fn run_sweep_controlled(
     ctl: &RunControl,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<SweepResult, EngineError> {
-    assert!(!ps.is_empty(), "sweep needs at least one probability");
-    assert!(
-        ps.iter().all(|p| (0.0..=1.0).contains(p)),
-        "probabilities must be in [0, 1]"
-    );
+    check_probabilities(ps);
     // Fan the per-p campaigns out through the engine; each campaign is a
     // deterministic function of (cfg.seed, p), so sweep results do not
     // depend on scheduling. Task `i` evaluates `ps[i]` (journal order is
@@ -143,43 +211,26 @@ pub fn run_sweep_controlled(
         }
         s
     });
+    let golden = OnceLock::new();
     let mut sink = CollectSink::new();
     let run_meta = engine.run_checkpointed(
         ps.len(),
         || (),
         |(), ctx| {
-            let p = ps[ctx.task_id];
-            let fm = FaultyModel::new(
-                model.clone(),
-                Arc::clone(eval),
+            Ok(sweep_point(
+                &golden,
+                model,
+                eval,
                 spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(SweepPoint {
-                p,
-                report: run_campaign(&fm, cfg).journal_form(),
-            })
+                ps[ctx.task_id],
+                cfg,
+            ))
         },
         &mut sink,
         ctl,
         ckpt.as_ref(),
     )?;
-    let mut points = sink.into_inner();
-    points.sort_by(|a, b| a.p.total_cmp(&b.p));
-    let golden_error = points[0].report.golden_error;
-    // Roll the per-point campaigns' sparse-delta accounting up into the
-    // sweep-level meta.
-    let mut run_meta = run_meta;
-    run_meta.delta_hits = points.iter().map(|s| s.report.run_meta.delta_hits).sum();
-    run_meta.delta_fallbacks = points
-        .iter()
-        .map(|s| s.report.run_meta.delta_fallbacks)
-        .sum();
-    Ok(SweepResult {
-        points,
-        golden_error,
-        run_meta,
-    })
+    Ok(assemble(sink.into_inner(), run_meta))
 }
 
 /// [`run_sweep`] over the *quantized* workload: one BDLFI campaign per
@@ -224,11 +275,7 @@ pub fn run_sweep_quant_controlled(
     ctl: &RunControl,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<SweepResult, EngineError> {
-    assert!(!ps.is_empty(), "sweep needs at least one probability");
-    assert!(
-        ps.iter().all(|p| (0.0..=1.0).contains(p)),
-        "probabilities must be in [0, 1]"
-    );
+    check_probabilities(ps);
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
     let ckpt = ckpt.cloned().map(|mut s| {
         if s.fingerprint.is_empty() {
@@ -236,43 +283,26 @@ pub fn run_sweep_quant_controlled(
         }
         s
     });
+    let golden = OnceLock::new();
     let mut sink = CollectSink::new();
     let run_meta = engine.run_checkpointed(
         ps.len(),
         || (),
         |(), ctx| {
-            let p = ps[ctx.task_id];
-            let qfm = QuantFaultyModel::new(
-                qm.clone(),
-                Arc::clone(eval),
+            Ok(quant_sweep_point(
+                &golden,
+                qm,
+                eval,
                 spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(SweepPoint {
-                p,
-                report: run_campaign(&qfm, cfg).journal_form(),
-            })
+                ps[ctx.task_id],
+                cfg,
+            ))
         },
         &mut sink,
         ctl,
         ckpt.as_ref(),
     )?;
-    let mut points = sink.into_inner();
-    points.sort_by(|a, b| a.p.total_cmp(&b.p));
-    let golden_error = points[0].report.golden_error;
-    // Roll the per-point campaigns' sparse-delta accounting up into the
-    // sweep-level meta.
-    let mut run_meta = run_meta;
-    run_meta.delta_hits = points.iter().map(|s| s.report.run_meta.delta_hits).sum();
-    run_meta.delta_fallbacks = points
-        .iter()
-        .map(|s| s.report.run_meta.delta_fallbacks)
-        .sum();
-    Ok(SweepResult {
-        points,
-        golden_error,
-        run_meta,
-    })
+    Ok(assemble(sink.into_inner(), run_meta))
 }
 
 /// Runs one shard of a flip-probability sweep split `count` ways: the
@@ -306,11 +336,7 @@ pub fn run_sweep_shard(
     ctl: &RunControl,
     ckpt: &CheckpointSpec,
 ) -> Result<RunMeta, ShardError> {
-    assert!(!ps.is_empty(), "sweep needs at least one probability");
-    assert!(
-        ps.iter().all(|p| (0.0..=1.0).contains(p)),
-        "probabilities must be in [0, 1]"
-    );
+    check_probabilities(ps);
     let base = if ckpt.fingerprint.is_empty() {
         fingerprint("sweep", &(cfg.fingerprint_form(), ps.to_vec()))
     } else {
@@ -322,22 +348,20 @@ pub fn run_sweep_shard(
         ..ckpt.clone()
     };
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
+    let golden = OnceLock::new();
     let meta = engine.run_shard_checkpointed(
         plan.info(index)?,
         plan.range(index)?.len(),
         || (),
         |(), ctx| {
-            let p = ps[ctx.task_id];
-            let fm = FaultyModel::new(
-                model.clone(),
-                Arc::clone(eval),
+            Ok(sweep_point(
+                &golden,
+                model,
+                eval,
                 spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(SweepPoint {
-                p,
-                report: run_campaign(&fm, cfg).journal_form(),
-            })
+                ps[ctx.task_id],
+                cfg,
+            ))
         },
         &mut NullSink,
         ctl,
@@ -369,11 +393,7 @@ pub fn run_sweep_quant_shard(
     ctl: &RunControl,
     ckpt: &CheckpointSpec,
 ) -> Result<RunMeta, ShardError> {
-    assert!(!ps.is_empty(), "sweep needs at least one probability");
-    assert!(
-        ps.iter().all(|p| (0.0..=1.0).contains(p)),
-        "probabilities must be in [0, 1]"
-    );
+    check_probabilities(ps);
     let base = if ckpt.fingerprint.is_empty() {
         fingerprint("sweep_quant", &(cfg.fingerprint_form(), ps.to_vec()))
     } else {
@@ -385,22 +405,20 @@ pub fn run_sweep_quant_shard(
         ..ckpt.clone()
     };
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
+    let golden = OnceLock::new();
     let meta = engine.run_shard_checkpointed(
         plan.info(index)?,
         plan.range(index)?.len(),
         || (),
         |(), ctx| {
-            let p = ps[ctx.task_id];
-            let qfm = QuantFaultyModel::new(
-                qm.clone(),
-                Arc::clone(eval),
+            Ok(quant_sweep_point(
+                &golden,
+                qm,
+                eval,
                 spec,
-                Arc::new(BernoulliBitFlip::new(p)),
-            );
-            Ok(SweepPoint {
-                p,
-                report: run_campaign(&qfm, cfg).journal_form(),
-            })
+                ps[ctx.task_id],
+                cfg,
+            ))
         },
         &mut NullSink,
         ctl,

@@ -159,6 +159,36 @@ impl QuantFaultyModel {
         }
     }
 
+    /// Derives a workload over the same golden quantized network and
+    /// evaluation set with the sites selected by `spec` and a new fault
+    /// model — the quantized twin of [`FaultyModel::with_sites`]. The
+    /// golden predictions, golden error and prefix cache are shared; the
+    /// sparse-delta counters start fresh, so the derived workload's
+    /// reports are byte-identical to those of a [`QuantFaultyModel::new`]
+    /// over the same arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec selects transient sites or resolves to no site.
+    pub fn with_sites(&self, spec: &SiteSpec, fault_model: Arc<dyn FaultModel>) -> Self {
+        let sites = self.model.sites_matching(spec);
+        assert!(
+            !sites.is_empty(),
+            "site spec resolved to no injection sites"
+        );
+        QuantFaultyModel {
+            model: self.model.clone(),
+            eval: Arc::clone(&self.eval),
+            sites,
+            fault_model,
+            golden_preds: Arc::clone(&self.golden_preds),
+            golden_error: self.golden_error,
+            prefix: Arc::clone(&self.prefix),
+            delta_stats: Arc::new(DeltaStats::default()),
+            delta_enabled: self.delta_enabled,
+        }
+    }
+
     /// Enables or disables the sparse-delta path (on by default). With it
     /// off, every evaluation takes the incremental dense path; results are
     /// bit-identical either way.

@@ -14,8 +14,11 @@
 //! The packed variants share the GEBP decomposition of the original
 //! blocked kernel: `A` packed into [`MR`]-row micro-panels, `B` into
 //! [`NR`]-column micro-panels, an `MR × NR` register-resident accumulator
-//! tile. The oracle for approximate correctness is
-//! [`gemm_f32_reference`], a straight f64-accumulating triple loop.
+//! tile. Narrow products (`reads_b_in_place`) skip the `B` pack for
+//! every full-width panel and hand the micro-kernel `B`'s own rows; the
+//! micro-kernels take a `B` row stride for that. The oracle for
+//! approximate correctness is [`gemm_f32_reference`], a straight
+//! f64-accumulating triple loop.
 
 use super::{Selection, Tile, Variant, KC, MR, NR};
 use crate::scratch;
@@ -122,6 +125,21 @@ enum Micro {
     Avx2,
 }
 
+/// Whether the packed driver reads full-width `B` panels in place instead
+/// of packing them: `B'` rows are contiguous (`b_cs == 1`) and the product
+/// is at most two register tiles tall, so a packed panel would be reused
+/// by at most two micro-kernel calls and packing would cost as much as the
+/// multiply (the per-image conv GEMM `8 × 72 · 72 × 1024` of a thin
+/// ResNet stage is the motivating shape). Only a ragged last panel
+/// (`n % NR` columns) is still packed, zero-padded to `NR` lanes.
+///
+/// Bit-identity is unaffected: the micro-kernel reads the same `B'`
+/// values in the same `l` order either way, so each output element is
+/// still reduced per `KC` block, elements ascending, without FMA.
+fn reads_b_in_place(m: usize, b_cs: usize) -> bool {
+    b_cs == 1 && m <= 2 * MR
+}
+
 /// Packed GEBP driver shared by the autovec and AVX2 variants; only the
 /// inner register-tile kernel differs.
 #[allow(clippy::too_many_arguments)]
@@ -146,28 +164,37 @@ fn blocked(
     // clamp cannot change results — it only shrinks the scratch area, never
     // the KC reduction split the bit-identity contract pins.
     let (kc_blk, mc_blk, nc_blk) = (tile.kc.min(k), tile.mc.min(m), tile.nc.min(n));
+    let in_place = reads_b_in_place(m, b_cs);
+    let b_panels = if in_place { 1 } else { nc_blk.div_ceil(NR) };
     let mut apack = scratch::take(mc_blk.div_ceil(MR) * MR * kc_blk);
-    let mut bpack = scratch::take(nc_blk.div_ceil(NR) * NR * kc_blk);
+    let mut bpack = scratch::take(b_panels * NR * kc_blk);
 
     for lc in (0..k).step_by(kc_blk) {
         let kc = kc_blk.min(k - lc);
         for jc in (0..n).step_by(nc_blk) {
             let nc = nc_blk.min(n - jc);
-            pack_b(&mut bpack, b, b_rs, b_cs, lc, kc, jc, nc);
+            // In place, only the ragged tail panel goes through the pack.
+            let full = if in_place { nc - nc % NR } else { 0 };
+            pack_b(&mut bpack, b, b_rs, b_cs, lc, kc, jc + full, nc - full);
             for ic in (0..m).step_by(mc_blk) {
                 let mc = mc_blk.min(m - ic);
                 pack_a(&mut apack, a, a_rs, a_cs, ic, mc, lc, kc);
                 for jr in (0..nc).step_by(NR) {
                     let nr = NR.min(nc - jr);
-                    let bp = &bpack[(jr / NR) * kc * NR..][..kc * NR];
+                    let (bp, ldb) = if jr < full {
+                        (&b[lc * b_rs + jc + jr..], b_rs)
+                    } else {
+                        let p = (jr - full) / NR;
+                        (&bpack[p * kc * NR..][..kc * NR], NR)
+                    };
                     for ir in (0..mc).step_by(MR) {
                         let mr = MR.min(mc - ir);
                         let ap = &apack[(ir / MR) * kc * MR..][..kc * MR];
                         let c_off = (ic + ir) * n + jc + jr;
                         let ctile = &mut c[c_off..];
                         match micro {
-                            Micro::Autovec => micro_autovec(kc, ap, bp, ctile, n, mr, nr),
-                            Micro::Avx2 => micro_avx2(kc, ap, bp, ctile, n, mr, nr),
+                            Micro::Autovec => micro_autovec(kc, ap, bp, ldb, ctile, n, mr, nr),
+                            Micro::Avx2 => micro_avx2(kc, ap, bp, ldb, ctile, n, mr, nr),
                         }
                     }
                 }
@@ -236,10 +263,15 @@ fn pack_b(
 /// copies run the very same Rust code and SIMD lanes only span *different*
 /// output elements — each accumulator is still reduced over `l`
 /// sequentially — so the dispatch is bit-transparent.
+///
+/// `B` row `l` of the tile starts at `bp[l * ldb]`: `ldb == NR` for a
+/// packed panel, `B`'s own row stride when the driver reads it in place.
+#[allow(clippy::too_many_arguments)]
 fn micro_autovec(
     kc: usize,
     ap: &[f32],
     bp: &[f32],
+    ldb: usize,
     c: &mut [f32],
     ldc: usize,
     mr: usize,
@@ -255,9 +287,9 @@ fn micro_autovec(
         // body is safe Rust (bounds-checked indexing, no raw pointers), so
         // no aliasing, alignment or in-bounds reasoning is delegated to
         // the caller.
-        return unsafe { micro_body_avx2(kc, ap, bp, c, ldc, mr, nr) };
+        return unsafe { micro_body_avx2(kc, ap, bp, ldb, c, ldc, mr, nr) };
     }
-    micro_body(kc, ap, bp, c, ldc, mr, nr);
+    micro_body(kc, ap, bp, ldb, c, ldc, mr, nr);
 }
 
 /// [`micro_body`] recompiled with 256-bit vectors: one row of the
@@ -265,24 +297,36 @@ fn micro_autovec(
 /// lives in eight of the sixteen vector registers.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 fn micro_body_avx2(
     kc: usize,
     ap: &[f32],
     bp: &[f32],
+    ldb: usize,
     c: &mut [f32],
     ldc: usize,
     mr: usize,
     nr: usize,
 ) {
-    micro_body(kc, ap, bp, c, ldc, mr, nr);
+    micro_body(kc, ap, bp, ldb, c, ldc, mr, nr);
 }
 
 #[inline(always)]
-fn micro_body(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
+#[allow(clippy::too_many_arguments)]
+fn micro_body(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
     let mut acc = [[0.0f32; NR]; MR];
     let (a_panels, _) = ap[..kc * MR].as_chunks::<MR>();
-    let (b_panels, _) = bp[..kc * NR].as_chunks::<NR>();
-    for (av, bv) in a_panels.iter().zip(b_panels) {
+    for (l, av) in a_panels.iter().enumerate() {
+        let bv = &bp[l * ldb..][..NR];
         for r in 0..MR {
             let a = av[r];
             for q in 0..NR {
@@ -298,11 +342,21 @@ fn micro_body(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: 
     }
 }
 
-/// Hand-written AVX2 `MR × NR` register-tile kernel over the same packed
-/// panels. Falls back to the generic body off x86-64 or when AVX2 is
-/// absent (the selector never picks this variant there, but the function
-/// stays total).
-fn micro_avx2(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
+/// Hand-written AVX2 `MR × NR` register-tile kernel over the same panels
+/// (`B` rows `ldb` apart, as for [`micro_autovec`]). Falls back to the
+/// generic body off x86-64 or when AVX2 is absent (the selector never
+/// picks this variant there, but the function stays total).
+#[allow(clippy::too_many_arguments)]
+fn micro_avx2(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: calling a `#[target_feature(enable = "avx2")]` function
@@ -311,9 +365,9 @@ fn micro_avx2(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: 
         // The intrinsics inside assert their slice bounds before any raw
         // pointer arithmetic, so feature availability is the only proof
         // obligation delegated to this call site.
-        return unsafe { micro_intrinsics_avx2(kc, ap, bp, c, ldc, mr, nr) };
+        return unsafe { micro_intrinsics_avx2(kc, ap, bp, ldb, c, ldc, mr, nr) };
     }
-    micro_body(kc, ap, bp, c, ldc, mr, nr);
+    micro_body(kc, ap, bp, ldb, c, ldc, mr, nr);
 }
 
 /// The intrinsics tile: two 8-lane `mul`/`add` chains per row. **No FMA** —
@@ -321,10 +375,12 @@ fn micro_avx2(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: 
 /// twice, which would break cross-variant bit-identity.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 fn micro_intrinsics_avx2(
     kc: usize,
     ap: &[f32],
     bp: &[f32],
+    ldb: usize,
     c: &mut [f32],
     ldc: usize,
     mr: usize,
@@ -335,17 +391,22 @@ fn micro_intrinsics_avx2(
         _mm256_storeu_ps,
     };
     assert!(ap.len() >= kc * MR, "packed A panel too short");
-    assert!(bp.len() >= kc * NR, "packed B panel too short");
+    assert!(
+        kc == 0 || bp.len() >= (kc - 1) * ldb + NR,
+        "B panel too short"
+    );
     let mut acc0 = [_mm256_setzero_ps(); MR];
     let mut acc1 = [_mm256_setzero_ps(); MR];
     for l in 0..kc {
-        // SAFETY: `bp` holds at least `kc * NR` floats (asserted above), so
-        // both unaligned 8-lane loads at `l * NR` and `l * NR + 8` stay in
-        // bounds; `loadu` has no alignment requirement.
+        // SAFETY: row `l < kc` of the panel spans `bp[l * ldb..l * ldb +
+        // NR]`, in bounds because `bp` holds at least `(kc - 1) * ldb +
+        // NR` floats (asserted above); both unaligned 8-lane loads at
+        // `l * ldb` and `l * ldb + 8` stay inside that row, and `loadu`
+        // has no alignment requirement.
         let (b0, b1) = unsafe {
             (
-                _mm256_loadu_ps(bp.as_ptr().add(l * NR)),
-                _mm256_loadu_ps(bp.as_ptr().add(l * NR + 8)),
+                _mm256_loadu_ps(bp.as_ptr().add(l * ldb)),
+                _mm256_loadu_ps(bp.as_ptr().add(l * ldb + 8)),
             )
         };
         let av = &ap[l * MR..l * MR + MR];
@@ -416,22 +477,35 @@ mod tests {
     fn variants_are_bit_identical() {
         // Shapes straddling MR/NR remainder tiles, the MC/NC cache blocks
         // and — crucially for the scalar block split — the KC boundary.
-        for &(m, n, k) in &[
-            (1, 1, 1),
-            (3, 5, 2),
-            (5, 17, 9),
-            (64, 16, 64),
-            (65, 17, 65),
-            (7, 300, 300),
-            (9, 33, 600),
-            (2, 5, 257),
+        // Products at most 2·MR rows tall read unit-stride B in place
+        // (ragged last panel packed, n % NR != 0 below); a transposed B
+        // (`true`: b_cs != 1) must still take the packed path.
+        for &(m, n, k, b_transposed) in &[
+            (1, 1, 1, false),
+            (3, 5, 2, false),
+            (5, 17, 9, false),
+            (64, 16, 64, false),
+            (65, 17, 65, false),
+            (7, 300, 300, false),
+            (9, 33, 600, false),
+            (2, 5, 257, false),
+            (2, 47, 72, false),
+            (3, 16, 9, false),
+            (4, 1, 300, false),
+            (5, 33, 1, false),
+            (6, 70, 513, false),
+            (7, 31, 72, false),
+            (8, 1030, 72, false),
+            (8, 47, 300, true),
+            (3, 40, 20, true),
         ] {
             let a = fill(m * k, 1);
             let b = fill(k * n, 2);
+            let b_str = if b_transposed { (1, k) } else { (n, 1) };
             let mut outs = Vec::new();
             for v in VARIANTS {
                 let mut c = vec![0.0f32; m * n];
-                gemm_f32_with(v, m, n, k, &a, (k, 1), &b, (n, 1), &mut c);
+                gemm_f32_with(v, m, n, k, &a, (k, 1), &b, b_str, &mut c);
                 outs.push(c.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
             }
             assert_eq!(outs[0], outs[1], "({m}x{n}x{k}) scalar != autovec");

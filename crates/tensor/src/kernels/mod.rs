@@ -38,6 +38,11 @@
 //!
 //! The per-shape table only varies the outer cache blocks (`MC`/`NC`),
 //! which partition independent output elements and cannot affect results.
+//! One more rule lives in the packed f32 driver rather than the table,
+//! because it depends on strides as well as the shape: a product at most
+//! `2·MR` rows tall with unit-stride `B` rows reads full-width `B` panels
+//! in place instead of packing them (see [`gemm_f32`]). It changes which
+//! memory the micro-kernel loads `B` from, never the reduction order.
 
 pub mod gemm_f32;
 pub mod qgemm_i8;

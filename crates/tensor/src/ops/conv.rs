@@ -87,8 +87,63 @@ pub fn im2col(image: &Tensor, spec: Conv2dSpec) -> Tensor {
 
 /// Allocation-free core of [`im2col`]: unfolds one CHW image (given as a
 /// raw slice) into `dst`, which must hold `c·kh·kw · oh·ow` elements.
-/// `dst` is fully overwritten (padding positions are zeroed first).
+/// `dst` is fully overwritten (padding positions are zeroed).
+///
+/// With unit horizontal stride the in-bounds part of each output row is
+/// one contiguous run of a source row, so it is copied as a slice; other
+/// strides take the per-element loop of [`im2col_strided_into`].
 fn im2col_into(src: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec, dst: &mut [f32]) {
+    let (kh, kw) = spec.kernel;
+    let (sh, sw) = spec.stride;
+    let (ph, pw) = spec.padding;
+    if sw != 1 {
+        im2col_strided_into(src, c, h, w, spec, dst);
+        return;
+    }
+    let (oh, ow) = spec.output_hw(h, w);
+    let cols_n = oh * ow;
+    debug_assert_eq!(src.len(), c * h * w);
+    debug_assert_eq!(dst.len(), c * kh * kw * cols_n);
+
+    for ch in 0..c {
+        for ki in 0..kh {
+            for kj in 0..kw {
+                // Output columns `lo..hi` read source columns
+                // `lo + kj - pw ..`; the rest fall in the zero padding.
+                let lo = pw.saturating_sub(kj).min(ow);
+                let hi = (w + pw).saturating_sub(kj).clamp(lo, ow);
+                let row = (ch * kh + ki) * kw + kj;
+                let dst_row = &mut dst[row * cols_n..(row + 1) * cols_n];
+                for (oi, out) in dst_row.chunks_exact_mut(ow).enumerate() {
+                    let si = (oi * sh + ki) as isize - ph as isize;
+                    if si < 0 || si >= h as isize {
+                        out.fill(0.0);
+                        continue;
+                    }
+                    out[..lo].fill(0.0);
+                    if lo < hi {
+                        // `lo < hi` means `lo` was not cut to `ow`, so
+                        // `lo + kj >= pw`: the source column is in bounds.
+                        let start = (ch * h + si as usize) * w + lo + kj - pw;
+                        out[lo..hi].copy_from_slice(&src[start..start + (hi - lo)]);
+                    }
+                    out[hi..].fill(0.0);
+                }
+            }
+        }
+    }
+}
+
+/// The per-element im2col loop, for any stride: zero `dst`, then copy each
+/// in-bounds receptive-field element.
+fn im2col_strided_into(
+    src: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    spec: Conv2dSpec,
+    dst: &mut [f32],
+) {
     let (kh, kw) = spec.kernel;
     let (sh, sw) = spec.stride;
     let (ph, pw) = spec.padding;
@@ -446,6 +501,148 @@ mod tests {
                 "grad_bias[{idx}]: fd={fd}, analytic={}",
                 gb.data()[idx]
             );
+        }
+    }
+
+    fn pattern(dims: [usize; 4], salt: usize) -> Tensor {
+        Tensor::from_fn(dims, |i| {
+            let x = (i[0] * 131 + i[1] * 31 + i[2] * 7 + i[3] * 3 + salt) % 23;
+            x as f32 * 0.09 - 1.0
+        })
+    }
+
+    /// The materialised composition `conv2d` fuses: the per-element
+    /// im2col of each image into its own matrix, one `gemm_strided` per
+    /// image, then the bias — the bit-exact oracle for the row-copy
+    /// im2col and the narrow-M GEMM path.
+    fn conv2d_oracle(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: Conv2dSpec) -> Tensor {
+        let (n, c, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
+        let oc = weight.dim(0);
+        let (kh, kw) = spec.kernel;
+        let (oh, ow) = spec.output_hw(h, w);
+        let (plane, kdim, chw) = (oh * ow, c * kh * kw, c * h * w);
+        let mut out = vec![0.0f32; n * oc * plane];
+        for img in 0..n {
+            let mut cols = vec![0.0f32; kdim * plane];
+            let src = &input.data()[img * chw..(img + 1) * chw];
+            im2col_strided_into(src, c, h, w, spec, &mut cols);
+            let dst = &mut out[img * oc * plane..(img + 1) * oc * plane];
+            gemm_strided(
+                oc,
+                plane,
+                kdim,
+                weight.data(),
+                (kdim, 1),
+                &cols,
+                (plane, 1),
+                dst,
+            );
+            for (och, row) in dst.chunks_mut(plane).enumerate() {
+                for x in row {
+                    *x += bias.data()[och];
+                }
+            }
+        }
+        Tensor::from_vec(out, [n, oc, oh, ow])
+    }
+
+    /// Direct convolution accumulated in f64.
+    fn conv2d_f64(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: Conv2dSpec) -> Vec<f64> {
+        let (n, c, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
+        let oc = weight.dim(0);
+        let (kh, kw) = spec.kernel;
+        let (sh, sw) = spec.stride;
+        let (ph, pw) = spec.padding;
+        let (oh, ow) = spec.output_hw(h, w);
+        let mut out = Vec::with_capacity(n * oc * oh * ow);
+        for img in 0..n {
+            for o in 0..oc {
+                for oi in 0..oh {
+                    for oj in 0..ow {
+                        let mut acc = f64::from(bias.data()[o]);
+                        for ch in 0..c {
+                            for ki in 0..kh {
+                                for kj in 0..kw {
+                                    let si = (oi * sh + ki) as isize - ph as isize;
+                                    let sj = (oj * sw + kj) as isize - pw as isize;
+                                    if si < 0 || sj < 0 || si >= h as isize || sj >= w as isize {
+                                        continue;
+                                    }
+                                    let x = input.data()
+                                        [((img * c + ch) * h + si as usize) * w + sj as usize];
+                                    let wv = weight.data()[((o * c + ch) * kh + ki) * kw + kj];
+                                    acc += f64::from(x) * f64::from(wv);
+                                }
+                            }
+                        }
+                        out.push(acc);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `(spec, input dims, output channels)` over stride {1,2}, kernel
+    /// {1,3}, padding {0,1,2} and `oc` in {1,3,8,16,64}, plus images
+    /// narrower than kernel + padding.
+    fn conv_cases() -> Vec<(Conv2dSpec, [usize; 4], usize)> {
+        let mut cases = Vec::new();
+        for stride in [1, 2] {
+            for kernel in [1, 3] {
+                for padding in [0, 1, 2] {
+                    for oc in [1, 3, 8, 16, 64] {
+                        let spec = Conv2dSpec::new(kernel)
+                            .with_stride(stride)
+                            .with_padding(padding);
+                        cases.push((spec, [2, 3, 7, 6], oc));
+                    }
+                }
+            }
+        }
+        for (kernel, padding, w) in [(3, 1, 2), (3, 2, 1), (5, 2, 1), (3, 1, 1)] {
+            for stride in [1, 2] {
+                let spec = Conv2dSpec::new(kernel)
+                    .with_stride(stride)
+                    .with_padding(padding);
+                cases.push((spec, [2, 2, 5, w], 8));
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn conv2d_is_bit_identical_to_materialised_im2col_gemm() {
+        for (spec, dims, oc) in conv_cases() {
+            let input = pattern(dims, 1);
+            let (kh, kw) = spec.kernel;
+            let weight = pattern([oc, dims[1], kh, kw], 2);
+            let bias = Tensor::from_fn([oc], |i| i[0] as f32 * 0.25 - 0.5);
+            let got = conv2d(&input, &weight, Some(&bias), spec);
+            let want = conv2d_oracle(&input, &weight, &bias, spec);
+            assert_eq!(got.dims(), want.dims(), "{spec:?} {dims:?} oc={oc}");
+            let gb: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+            let wb: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(gb, wb, "{spec:?} {dims:?} oc={oc}: bits differ");
+        }
+    }
+
+    #[test]
+    fn conv2d_matches_direct_f64_convolution() {
+        for (spec, dims, oc) in conv_cases() {
+            let input = pattern(dims, 3);
+            let (kh, kw) = spec.kernel;
+            let weight = pattern([oc, dims[1], kh, kw], 4);
+            let bias = Tensor::from_fn([oc], |i| 0.5 - i[0] as f32 * 0.125);
+            let got = conv2d(&input, &weight, Some(&bias), spec);
+            let want = conv2d_f64(&input, &weight, &bias, spec);
+            let tol = 1e-5 * (dims[1] * kh * kw) as f64;
+            for (i, (&g, &w)) in got.data().iter().zip(&want).enumerate() {
+                assert!(
+                    (f64::from(g) - w).abs() <= tol,
+                    "{spec:?} {dims:?} oc={oc} element {i}: {g} vs {w}"
+                );
+            }
         }
     }
 

@@ -137,15 +137,33 @@ mod tests {
         // m=1 sub-call classifies as Gemv (scalar kernel) while the whole
         // batch runs the packed kernel, so this test also pins the
         // cross-variant bit-identity contract at the public boundary.
-        let (m, n, k) = (37, 45, 53);
-        let a = fill(m * k, 5);
-        let b = fill(k * n, 6);
-        let mut whole = vec![0.0f32; m * n];
-        gemm_strided(m, n, k, &a, (k, 1), &b, (n, 1), &mut whole);
-        for i in [0usize, 1, 17, 36] {
-            let mut row = vec![0.0f32; n];
-            gemm_strided(1, n, k, &a[i * k..], (k, 1), &b, (n, 1), &mut row);
-            assert_eq!(&whole[i * n..(i + 1) * n], &row[..], "row {i} differs");
+        // Batches of 2..=8 rows read a unit-stride B in place (ragged
+        // last panel packed); the transposed-B case (`true`) still packs.
+        for &(m, n, k, b_transposed) in &[
+            (37, 45, 53, false),
+            (2, 45, 53, false),
+            (3, 33, 300, false),
+            (4, 16, 72, false),
+            (5, 100, 9, false),
+            (6, 31, 257, false),
+            (7, 64, 64, false),
+            (8, 1030, 72, false),
+            (8, 45, 53, true),
+        ] {
+            let a = fill(m * k, 5);
+            let b = fill(k * n, 6);
+            let b_str = if b_transposed { (1, k) } else { (n, 1) };
+            let mut whole = vec![0.0f32; m * n];
+            gemm_strided(m, n, k, &a, (k, 1), &b, b_str, &mut whole);
+            for i in [0, 1, m / 2, m - 1] {
+                let mut row = vec![0.0f32; n];
+                gemm_strided(1, n, k, &a[i * k..], (k, 1), &b, b_str, &mut row);
+                assert_eq!(
+                    &whole[i * n..(i + 1) * n],
+                    &row[..],
+                    "({m}x{n}x{k}) row {i} differs"
+                );
+            }
         }
     }
 }

@@ -19,13 +19,15 @@ use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
     boundary_map, boundary_map_controlled, run_campaign, run_campaign_adaptive,
     run_campaign_adaptive_controlled, run_campaign_controlled, run_layerwise,
-    run_layerwise_controlled, run_protection_study, run_protection_study_controlled, run_sweep,
-    run_sweep_controlled, BoundaryConfig, CampaignConfig, CampaignReport, CheckpointError,
-    CheckpointSpec, EngineError, FaultyModel, KernelChoice, LayerBudget, RunControl,
+    run_layerwise_controlled, run_layerwise_quant_controlled, run_protection_study,
+    run_protection_study_controlled, run_sweep, run_sweep_controlled, run_sweep_quant_controlled,
+    BoundaryConfig, CampaignConfig, CampaignReport, CheckpointError, CheckpointSpec, EngineError,
+    FaultyModel, KernelChoice, LayerBudget, RunControl,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
 use bdlfi_suite::nn::{mlp, optim::Sgd, Sequential, TrainConfig, Trainer};
+use bdlfi_suite::quant::{quantize_model, CalibConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -121,6 +123,12 @@ fn assert_reports_identical(a: &CampaignReport, b: &CampaignReport, what: &str) 
         a.golden_error, b.golden_error,
         "{what}: golden error differs"
     );
+}
+
+/// A value's JSON form: byte-identical JSON means byte-identical journal
+/// entries and reports.
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("serialize")
 }
 
 fn assert_interrupted(err: EngineError, watermark: usize, what: &str) {
@@ -275,6 +283,90 @@ fn layerwise_resumes_bit_identically() {
             assert_reports_identical(&a.report, &b.report, &format!("{what} {}", a.layer));
         }
     }
+}
+
+/// Interrupted study journals checked in under `tests/fixtures/` (two of
+/// three tasks done; config below) were written before layerwise and
+/// sweep studies shared one golden model across their tasks. They must
+/// still resume — the fingerprints did not move — and the finished
+/// studies must match uninterrupted runs entry for entry, journaled
+/// entries included.
+#[test]
+fn journals_written_before_the_shared_golden_model_still_resume() {
+    let (model, eval) = trained_mlp();
+    let qm = quantize_model(&model, eval.inputs(), &CalibConfig::default());
+    let layers = ["fc1", "fc2", "fc3"];
+    let budget = LayerBudget::ExpectedFlips(32.0);
+    let ps = [1e-2, 1e-3, 1e-4];
+    let all = SiteSpec::AllParams;
+    let cfg = campaign_cfg(45, 2, 8, 1);
+    let scratch = Scratch::new("fixtures");
+    let resume = |name: &str| {
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(name);
+        let dst = scratch.path(name);
+        std::fs::copy(&src, &dst).expect("copy fixture journal");
+        CheckpointSpec::new(dst, String::new()).resuming()
+    };
+    let ctl = RunControl::new();
+
+    let fresh = run_layerwise_controlled(&model, &eval, &layers, budget, &cfg, &ctl, None).unwrap();
+    let resumed = run_layerwise_controlled(
+        &model,
+        &eval,
+        &layers,
+        budget,
+        &cfg,
+        &ctl,
+        Some(&resume("layerwise.ckpt")),
+    )
+    .unwrap_or_else(|e| panic!("f32 layerwise journal: {e}"));
+    assert_eq!(resumed.run_meta.resumed_from, Some(2));
+    assert_eq!(json(&resumed.layers), json(&fresh.layers), "f32 layerwise");
+
+    let fresh =
+        run_layerwise_quant_controlled(&qm, &eval, &layers, budget, &cfg, &ctl, None).unwrap();
+    let resumed = run_layerwise_quant_controlled(
+        &qm,
+        &eval,
+        &layers,
+        budget,
+        &cfg,
+        &ctl,
+        Some(&resume("layerwise_quant.ckpt")),
+    )
+    .unwrap_or_else(|e| panic!("int8 layerwise journal: {e}"));
+    assert_eq!(resumed.run_meta.resumed_from, Some(2));
+    assert_eq!(json(&resumed.layers), json(&fresh.layers), "int8 layerwise");
+
+    let fresh = run_sweep_controlled(&model, &eval, &all, &ps, &cfg, &ctl, None).unwrap();
+    let resumed = run_sweep_controlled(
+        &model,
+        &eval,
+        &all,
+        &ps,
+        &cfg,
+        &ctl,
+        Some(&resume("sweep.ckpt")),
+    )
+    .unwrap_or_else(|e| panic!("f32 sweep journal: {e}"));
+    assert_eq!(resumed.run_meta.resumed_from, Some(2));
+    assert_eq!(json(&resumed.points), json(&fresh.points), "f32 sweep");
+
+    let fresh = run_sweep_quant_controlled(&qm, &eval, &all, &ps, &cfg, &ctl, None).unwrap();
+    let resumed = run_sweep_quant_controlled(
+        &qm,
+        &eval,
+        &all,
+        &ps,
+        &cfg,
+        &ctl,
+        Some(&resume("sweep_quant.ckpt")),
+    )
+    .unwrap_or_else(|e| panic!("int8 sweep journal: {e}"));
+    assert_eq!(resumed.run_meta.resumed_from, Some(2));
+    assert_eq!(json(&resumed.points), json(&fresh.points), "int8 sweep");
 }
 
 #[test]

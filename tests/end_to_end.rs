@@ -4,12 +4,14 @@
 
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
-    boundary_map, log_spaced_probabilities, run_campaign, run_sweep, BoundaryConfig,
-    CampaignConfig, FaultyModel, KernelChoice,
+    boundary_map, log_spaced_probabilities, run_campaign, run_layerwise, run_layerwise_quant,
+    run_sweep, run_sweep_quant, BoundaryConfig, CampaignConfig, CampaignReport, FaultyModel,
+    KernelChoice, LayerBudget, QuantFaultyModel,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
 use bdlfi_suite::nn::{evaluate, mlp, optim::Sgd, Sequential, TrainConfig, Trainer};
+use bdlfi_suite::quant::{quantize_model, CalibConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -168,4 +170,63 @@ fn site_scoping_restricts_damage() {
     );
     // And the exposed element counts differ accordingly.
     assert!(all.sites().total_param_elements() > one.sites().total_param_elements());
+}
+
+#[test]
+fn study_reports_match_fresh_workloads_per_task() {
+    // Layerwise and sweep studies derive every task's workload from one
+    // golden model per study. Each task's report, its own sparse-delta
+    // hit and fallback counts included, must be byte-identical to the
+    // report of a workload built from scratch for that task alone — so
+    // nothing, counters included, leaks between a study's tasks.
+    let (model, test) = trained_mlp();
+    let qm = quantize_model(&model, test.inputs(), &CalibConfig::default());
+    let mut cfg = quick_campaign();
+    cfg.chain.samples = 20;
+    // Two workers at both levels, so tasks overlap even on one core.
+    cfg.workers = 2;
+    let json = |r: &CampaignReport| serde_json::to_string(r).expect("serialize report");
+    let fresh_f32 = |spec: &SiteSpec, p: f64| {
+        let fault = Arc::new(BernoulliBitFlip::new(p));
+        let fm = FaultyModel::new(model.clone(), Arc::clone(&test), spec, fault);
+        json(&run_campaign(&fm, &cfg).journal_form())
+    };
+    let fresh_i8 = |spec: &SiteSpec, p: f64| {
+        let fault = Arc::new(BernoulliBitFlip::new(p));
+        let qfm = QuantFaultyModel::new(qm.clone(), Arc::clone(&test), spec, fault);
+        json(&run_campaign(&qfm, &cfg).journal_form())
+    };
+
+    let all = SiteSpec::AllParams;
+    let ps = [1e-4, 1e-3, 1e-2];
+    for pt in &run_sweep(&model, &test, &all, &ps, &cfg).points {
+        assert_eq!(
+            json(&pt.report),
+            fresh_f32(&all, pt.p),
+            "f32 sweep p={}",
+            pt.p
+        );
+    }
+    for pt in &run_sweep_quant(&qm, &test, &all, &ps, &cfg).points {
+        assert_eq!(
+            json(&pt.report),
+            fresh_i8(&all, pt.p),
+            "int8 sweep p={}",
+            pt.p
+        );
+    }
+
+    let layers = ["fc1", "fc2"];
+    let budget = LayerBudget::ExpectedFlips(8.0);
+    let layer_spec = |name: &str| SiteSpec::LayerParams {
+        prefix: name.to_string(),
+    };
+    for l in &run_layerwise(&model, &test, &layers, budget, &cfg).layers {
+        let want = fresh_f32(&layer_spec(&l.layer), l.p);
+        assert_eq!(json(&l.report), want, "f32 layerwise {}", l.layer);
+    }
+    for l in &run_layerwise_quant(&qm, &test, &layers, budget, &cfg).layers {
+        let want = fresh_i8(&layer_spec(&l.layer), l.p);
+        assert_eq!(json(&l.report), want, "int8 layerwise {}", l.layer);
+    }
 }
