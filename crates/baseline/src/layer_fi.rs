@@ -84,7 +84,7 @@ pub fn run_layer_fi_controlled(
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
     let ckpt = ckpt.cloned().map(|mut s| {
         if s.fingerprint.is_empty() {
-            s.fingerprint = fingerprint("layer_fi", &(cfg.clone(), names.clone()));
+            s.fingerprint = fingerprint("layer_fi", &(cfg.fingerprint_form(), names.clone()));
         }
         s
     });

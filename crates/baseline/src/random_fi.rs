@@ -45,6 +45,19 @@ impl Default for RandomFiConfig {
     }
 }
 
+impl RandomFiConfig {
+    /// The config with `workers` pinned, for journal fingerprinting:
+    /// results are bit-identical at every worker count, so a journal
+    /// written at one worker count must resume under any other.
+    #[must_use]
+    pub fn fingerprint_form(&self) -> RandomFiConfig {
+        RandomFiConfig {
+            workers: 0,
+            ..self.clone()
+        }
+    }
+}
+
 /// The outcome of a traditional campaign.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RandomFiResult {
@@ -187,7 +200,7 @@ impl RandomFi {
             if s.fingerprint.is_empty() {
                 s.fingerprint = fingerprint(
                     "random_fi",
-                    &(cfg.clone(), self.single_bit, self.golden_error),
+                    &(cfg.fingerprint_form(), self.single_bit, self.golden_error),
                 );
             }
             s

@@ -13,12 +13,10 @@
 
 use crate::checkpoint::{fingerprint, CheckpointError, CheckpointHeader, CheckpointWriter};
 use crate::completeness::{assess, CompletenessCriteria, CompletenessReport};
-use crate::engine::{
-    CheckpointSpec, CollectSink, EngineError, EvalEngine, NullSink, RunControl, RunMeta,
-};
+use crate::engine::{CheckpointSpec, CollectSink, EngineError, EvalEngine, RunControl, RunMeta};
 use crate::proposals::{BitToggleProposal, GibbsBitProposal, PriorProposal};
 use crate::report::CampaignReport;
-use crate::shard::{ShardError, ShardPlan};
+use crate::shard::{run_shard, ShardError};
 use crate::workload::FaultWorkload;
 use bdlfi_bayes::{
     run_chain, seed_stream, self_normalized_estimate, ChainConfig, MixtureProposal, Proposal, Trace,
@@ -572,31 +570,21 @@ pub fn run_campaign_shard<W: FaultWorkload>(
 ) -> Result<RunMeta, ShardError> {
     assert!(cfg.chains > 0, "campaign needs at least one chain");
     assert!(cfg.chain.samples > 0, "campaign must record samples");
-    let base = if ckpt.fingerprint.is_empty() {
-        campaign_fingerprint(fm, cfg)
-    } else {
-        ckpt.fingerprint.clone()
-    };
-    let plan = ShardPlan::new(base, cfg.seed, cfg.chains, count)?;
-    let info = plan.info(index)?;
-    let spec = CheckpointSpec {
-        fingerprint: plan.shard_fingerprint(index),
-        ..ckpt.clone()
-    };
-    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
     let (hits0, fb0) = fm.delta_counters();
-    let mut meta = engine.run_shard_checkpointed(
-        info,
-        plan.range(index)?.len(),
+    let mut meta = run_shard(
+        cfg,
+        || campaign_fingerprint(fm, cfg),
+        cfg.chains,
+        count,
+        index,
         || fm.clone(),
         |fm, ctx| {
             let mut worker = ChainWorker::new(fm, cfg, ctx.task_id);
             worker.advance(cfg, cfg.chain.samples);
             Ok(worker.snapshot())
         },
-        &mut NullSink,
         ctl,
-        &spec,
+        ckpt,
     )?;
     let (hits1, fb1) = fm.delta_counters();
     meta.delta_hits = hits1 - hits0;
@@ -681,7 +669,11 @@ pub fn run_campaign_adaptive_controlled<W: FaultWorkload>(
         fingerprint: if spec.fingerprint.is_empty() {
             fingerprint(
                 "campaign_adaptive",
-                &(*cfg, max_samples_per_chain, fm.golden_error()),
+                &(
+                    cfg.fingerprint_form(),
+                    max_samples_per_chain,
+                    fm.golden_error(),
+                ),
             )
         } else {
             spec.fingerprint.clone()

@@ -5,18 +5,13 @@
 
 use crate::campaign::{run_campaign, CampaignConfig};
 use crate::checkpoint::fingerprint;
-use crate::engine::{
-    CheckpointSpec, CollectSink, EngineError, EvalEngine, NullSink, RunControl, RunMeta,
-};
-use crate::faulty_model::FaultyModel;
+use crate::engine::{CheckpointSpec, CollectSink, EngineError, EvalEngine, RunControl, RunMeta};
 use crate::report::CampaignReport;
-use crate::shard::{ShardError, ShardPlan};
+use crate::shard::{run_shard, ShardError};
 use crate::stats::spearman;
-use crate::workload::QuantFaultyModel;
+use crate::workload::StudyNet;
 use bdlfi_data::Dataset;
 use bdlfi_faults::{BernoulliBitFlip, FaultModel, SiteSpec};
-use bdlfi_nn::Sequential;
-use bdlfi_quant::QuantModel;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
@@ -137,14 +132,32 @@ fn assemble(results: Vec<LayerResult>, mut run_meta: RunMeta) -> LayerwiseResult
     }
 }
 
-/// The campaign of layer `depth` in a layerwise study, run by every f32
-/// layerwise driver. The study shares one golden model: the first task
-/// to run builds it (its prefix cache, golden predictions and golden
+/// The unsharded journal fingerprint of a layerwise study. f32 and int8
+/// studies bind distinct tags, so their journals never cross-resume or
+/// cross-merge.
+fn layerwise_fingerprint(
+    quantized: bool,
+    cfg: &CampaignConfig,
+    names: &[String],
+    budget: LayerBudget,
+) -> String {
+    let identity = (cfg.fingerprint_form(), names.to_vec(), budget);
+    if quantized {
+        fingerprint("layerwise_quant", &identity)
+    } else {
+        fingerprint("layerwise", &identity)
+    }
+}
+
+/// The campaign of layer `depth` in a layerwise study, run by every
+/// layerwise driver, with the fault burden sized by the layer's
+/// injectable bit count. The study shares one golden workload: the first
+/// task to run builds it (its prefix cache, golden predictions and golden
 /// error), and each task derives its own sites and fault model from it
-/// with [`FaultyModel::with_sites`].
-fn layer_campaign(
-    golden: &OnceLock<FaultyModel>,
-    model: &Sequential,
+/// with [`StudyNet::with_sites`].
+fn layer_campaign<N: StudyNet>(
+    golden: &OnceLock<N::Workload>,
+    net: &N,
     eval: &Arc<Dataset>,
     names: &[String],
     budget: LayerBudget,
@@ -156,14 +169,14 @@ fn layer_campaign(
         prefix: layer.clone(),
     };
     // Resolve first to size the budget.
-    let elements = bdlfi_faults::resolve_sites(model, &spec).total_param_elements();
-    let p = budget.probability_for(elements);
+    let (elements, bits) = net.param_bits(&spec);
+    let p = budget.probability_for_bits(bits);
     let fault: Arc<dyn FaultModel> = Arc::new(BernoulliBitFlip::new(p));
-    let fm = golden
-        .get_or_init(|| {
-            FaultyModel::new(model.clone(), Arc::clone(eval), &spec, Arc::clone(&fault))
-        })
-        .with_sites(&spec, fault);
+    let golden = golden.get_or_init(|| {
+        net.clone()
+            .into_workload(Arc::clone(eval), &spec, Arc::clone(&fault))
+    });
+    let fm = N::with_sites(golden, &spec, fault);
     LayerResult {
         depth,
         layer,
@@ -173,65 +186,25 @@ fn layer_campaign(
     }
 }
 
-/// The quantized twin of [`layer_campaign`], with the fault burden sized
-/// by the layer's injectable *bit* count.
-fn quant_layer_campaign(
-    golden: &OnceLock<QuantFaultyModel>,
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    names: &[String],
-    budget: LayerBudget,
-    cfg: &CampaignConfig,
-    depth: usize,
-) -> LayerResult {
-    let layer = names[depth].clone();
-    let spec = SiteSpec::LayerParams {
-        prefix: layer.clone(),
-    };
-    // Size the budget by the layer's injectable bit space, which mixes
-    // 8-bit and 32-bit sites.
-    let sites = qm.sites_matching(&spec);
-    let elements = sites.total_param_elements();
-    let bits: u64 = sites.params.iter().map(|s| s.injectable_bits()).sum();
-    let p = budget.probability_for_bits(bits);
-    let fault: Arc<dyn FaultModel> = Arc::new(BernoulliBitFlip::new(p));
-    let qfm = golden
-        .get_or_init(|| {
-            QuantFaultyModel::new(qm.clone(), Arc::clone(eval), &spec, Arc::clone(&fault))
-        })
-        .with_sites(&spec, fault);
-    LayerResult {
-        depth,
-        layer,
-        elements,
-        p,
-        report: run_campaign(&qfm, cfg).journal_form(),
-    }
-}
-
 /// Runs one BDLFI campaign per layer prefix, injecting only into that
-/// layer's parameters, with the fault burden allocated by `budget`.
+/// layer's parameters, with the fault burden allocated by `budget`. The
+/// network is an f32 [`bdlfi_nn::Sequential`] or an int8
+/// [`bdlfi_quant::QuantModel`]; a budget in expected flips is sized by
+/// the layer's injectable *bit* count (int8 weight bytes contribute 8
+/// bits per element, i32 biases and f32 values 32).
 ///
 /// # Panics
 ///
 /// Panics if `layers` is empty, the budget induces an invalid probability,
-/// or a prefix does not exist in the model.
-pub fn run_layerwise(
-    model: &Sequential,
+/// or a prefix matches no injectable site.
+pub fn run_layerwise<N: StudyNet>(
+    net: &N,
     eval: &Arc<Dataset>,
     layers: &[&str],
     budget: LayerBudget,
     cfg: &CampaignConfig,
 ) -> LayerwiseResult {
-    match run_layerwise_controlled(
-        model,
-        eval,
-        layers,
-        budget,
-        cfg,
-        &RunControl::default(),
-        None,
-    ) {
+    match run_layerwise_controlled(net, eval, layers, budget, cfg, &RunControl::default(), None) {
         Ok(res) => res,
         Err(e) => panic!("layerwise study failed: {e}"),
     }
@@ -248,8 +221,8 @@ pub fn run_layerwise(
 /// # Panics
 ///
 /// Same preconditions as [`run_layerwise`].
-pub fn run_layerwise_controlled(
-    model: &Sequential,
+pub fn run_layerwise_controlled<N: StudyNet>(
+    net: &N,
     eval: &Arc<Dataset>,
     layers: &[&str],
     budget: LayerBudget,
@@ -266,10 +239,7 @@ pub fn run_layerwise_controlled(
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
     let ckpt = ckpt.cloned().map(|mut s| {
         if s.fingerprint.is_empty() {
-            s.fingerprint = fingerprint(
-                "layerwise",
-                &(cfg.fingerprint_form(), names.clone(), budget),
-            );
+            s.fingerprint = layerwise_fingerprint(N::QUANTIZED, cfg, &names, budget);
         }
         s
     });
@@ -281,93 +251,7 @@ pub fn run_layerwise_controlled(
         |(), ctx| {
             Ok(layer_campaign(
                 &golden,
-                model,
-                eval,
-                &names,
-                budget,
-                cfg,
-                ctx.task_id,
-            ))
-        },
-        &mut sink,
-        ctl,
-        ckpt.as_ref(),
-    )?;
-    Ok(assemble(sink.into_inner(), run_meta))
-}
-
-/// [`run_layerwise`] over the *quantized* workload: one campaign per
-/// stage prefix of the int8 model, with the fault burden sized by the
-/// layer's injectable *bit* count (int8 weight bytes contribute 8 bits per
-/// element, i32 biases 32).
-///
-/// # Panics
-///
-/// Panics if `layers` is empty, the budget induces an invalid probability,
-/// or a prefix matches no quantized site.
-pub fn run_layerwise_quant(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    layers: &[&str],
-    budget: LayerBudget,
-    cfg: &CampaignConfig,
-) -> LayerwiseResult {
-    match run_layerwise_quant_controlled(
-        qm,
-        eval,
-        layers,
-        budget,
-        cfg,
-        &RunControl::default(),
-        None,
-    ) {
-        Ok(res) => res,
-        Err(e) => panic!("quant layerwise study failed: {e}"),
-    }
-}
-
-/// [`run_layerwise_quant`] with cooperative cancellation and an optional
-/// checkpoint journal, in its own fingerprint namespace.
-///
-/// # Errors
-///
-/// [`EngineError::Interrupted`] on a cooperative stop, plus journal/sink
-/// failures.
-///
-/// # Panics
-///
-/// Same preconditions as [`run_layerwise_quant`].
-pub fn run_layerwise_quant_controlled(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    layers: &[&str],
-    budget: LayerBudget,
-    cfg: &CampaignConfig,
-    ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<LayerwiseResult, EngineError> {
-    check_study(layers, budget);
-
-    let names: Vec<String> = layers.iter().map(|&l| l.to_string()).collect();
-    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let ckpt = ckpt.cloned().map(|mut s| {
-        if s.fingerprint.is_empty() {
-            s.fingerprint = fingerprint(
-                "layerwise_quant",
-                &(cfg.fingerprint_form(), names.clone(), budget),
-            );
-        }
-        s
-    });
-    let golden = OnceLock::new();
-    let mut sink = CollectSink::new();
-    let run_meta = engine.run_checkpointed(
-        names.len(),
-        || (),
-        |(), ctx| {
-            Ok(quant_layer_campaign(
-                &golden,
-                qm,
+                net,
                 eval,
                 &names,
                 budget,
@@ -402,8 +286,8 @@ pub fn run_layerwise_quant_controlled(
 ///
 /// Same preconditions as [`run_layerwise`].
 #[allow(clippy::too_many_arguments)]
-pub fn run_layerwise_shard(
-    model: &Sequential,
+pub fn run_layerwise_shard<N: StudyNet>(
+    net: &N,
     eval: &Arc<Dataset>,
     layers: &[&str],
     budget: LayerBudget,
@@ -415,29 +299,18 @@ pub fn run_layerwise_shard(
 ) -> Result<RunMeta, ShardError> {
     check_study(layers, budget);
     let names: Vec<String> = layers.iter().map(|&l| l.to_string()).collect();
-    let base = if ckpt.fingerprint.is_empty() {
-        fingerprint(
-            "layerwise",
-            &(cfg.fingerprint_form(), names.clone(), budget),
-        )
-    } else {
-        ckpt.fingerprint.clone()
-    };
-    let plan = ShardPlan::new(base, cfg.seed, names.len(), count)?;
-    let shard_spec = CheckpointSpec {
-        fingerprint: plan.shard_fingerprint(index),
-        ..ckpt.clone()
-    };
-    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
     let golden = OnceLock::new();
-    let meta = engine.run_shard_checkpointed(
-        plan.info(index)?,
-        plan.range(index)?.len(),
+    run_shard(
+        cfg,
+        || layerwise_fingerprint(N::QUANTIZED, cfg, &names, budget),
+        names.len(),
+        count,
+        index,
         || (),
         |(), ctx| {
             Ok(layer_campaign(
                 &golden,
-                model,
+                net,
                 eval,
                 &names,
                 budget,
@@ -445,73 +318,9 @@ pub fn run_layerwise_shard(
                 ctx.task_id,
             ))
         },
-        &mut NullSink,
         ctl,
-        &shard_spec,
-    )?;
-    Ok(meta)
-}
-
-/// The quantized twin of [`run_layerwise_shard`], in the
-/// `layerwise_quant` fingerprint namespace so f32 and int8 shards never
-/// cross-merge.
-///
-/// # Errors
-///
-/// As [`run_layerwise_shard`].
-///
-/// # Panics
-///
-/// Same preconditions as [`run_layerwise_quant`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_layerwise_quant_shard(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    layers: &[&str],
-    budget: LayerBudget,
-    cfg: &CampaignConfig,
-    count: usize,
-    index: usize,
-    ctl: &RunControl,
-    ckpt: &CheckpointSpec,
-) -> Result<RunMeta, ShardError> {
-    check_study(layers, budget);
-    let names: Vec<String> = layers.iter().map(|&l| l.to_string()).collect();
-    let base = if ckpt.fingerprint.is_empty() {
-        fingerprint(
-            "layerwise_quant",
-            &(cfg.fingerprint_form(), names.clone(), budget),
-        )
-    } else {
-        ckpt.fingerprint.clone()
-    };
-    let plan = ShardPlan::new(base, cfg.seed, names.len(), count)?;
-    let shard_spec = CheckpointSpec {
-        fingerprint: plan.shard_fingerprint(index),
-        ..ckpt.clone()
-    };
-    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let golden = OnceLock::new();
-    let meta = engine.run_shard_checkpointed(
-        plan.info(index)?,
-        plan.range(index)?.len(),
-        || (),
-        |(), ctx| {
-            Ok(quant_layer_campaign(
-                &golden,
-                qm,
-                eval,
-                &names,
-                budget,
-                cfg,
-                ctx.task_id,
-            ))
-        },
-        &mut NullSink,
-        ctl,
-        &shard_spec,
-    )?;
-    Ok(meta)
+        ckpt,
+    )
 }
 
 #[cfg(test)]
@@ -618,7 +427,7 @@ mod tests {
         let data = gaussian_blobs(100, 2, 0.6, &mut rng);
         let model = mlp(2, &[32], 2, &mut rng);
         let qm = quantize_model(&model, data.inputs(), &CalibConfig::default());
-        let res = run_layerwise_quant(
+        let res = run_layerwise(
             &qm,
             &Arc::new(data),
             &["fc1", "fc2"],

@@ -33,8 +33,12 @@
 //! every entry replays, zero tasks run, and the assembled report is the
 //! single-process code path verbatim.
 
+use crate::campaign::CampaignConfig;
 use crate::checkpoint::{fingerprint, read_journal, CheckpointError, CheckpointHeader, ShardInfo};
-use crate::engine::EngineError;
+use crate::engine::{
+    CheckpointSpec, EngineError, EvalEngine, NullSink, RunControl, RunMeta, TaskCtx,
+};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::Write;
 use std::ops::Range;
@@ -382,6 +386,58 @@ impl ShardPlan {
             shard: None,
         }
     }
+}
+
+/// Runs shard `index` of a driver's task space `0..tasks` split `count`
+/// ways: the plumbing every driver's shard runner shares. The plan
+/// derives from the **unsharded** fingerprint `ckpt.fingerprint` (`base`
+/// computes it when that is empty, matching the driver's `*_controlled`
+/// path); the shard's journal binds the plan's per-shard fingerprint and
+/// records `task` results under global task ids.
+///
+/// # Errors
+///
+/// [`ShardError::Plan`] / [`ShardError::IndexOutOfRange`] for an unusable
+/// split; [`ShardError::Engine`] wrapping [`EngineError::Interrupted`] on
+/// a cooperative stop; engine/journal failures otherwise.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_shard<W, T, I, F>(
+    cfg: &CampaignConfig,
+    base: impl FnOnce() -> String,
+    tasks: usize,
+    count: usize,
+    index: usize,
+    init: I,
+    task: F,
+    ctl: &RunControl,
+    ckpt: &CheckpointSpec,
+) -> Result<RunMeta, ShardError>
+where
+    T: Send + Serialize + Deserialize,
+    I: Fn() -> W + Sync,
+    F: Fn(&mut W, &mut TaskCtx) -> Result<T, EngineError> + Sync,
+{
+    let base = if ckpt.fingerprint.is_empty() {
+        base()
+    } else {
+        ckpt.fingerprint.clone()
+    };
+    let plan = ShardPlan::new(base, cfg.seed, tasks, count)?;
+    let shard_spec = CheckpointSpec {
+        fingerprint: plan.shard_fingerprint(index),
+        ..ckpt.clone()
+    };
+    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
+    let meta = engine.run_shard_checkpointed(
+        plan.info(index)?,
+        plan.range(index)?.len(),
+        init,
+        task,
+        &mut NullSink,
+        ctl,
+        &shard_spec,
+    )?;
+    Ok(meta)
 }
 
 /// What [`merge_shards`] produced.

@@ -4,18 +4,13 @@
 
 use crate::campaign::{run_campaign, CampaignConfig};
 use crate::checkpoint::fingerprint;
-use crate::engine::{
-    CheckpointSpec, CollectSink, EngineError, EvalEngine, NullSink, RunControl, RunMeta,
-};
-use crate::faulty_model::FaultyModel;
+use crate::engine::{CheckpointSpec, CollectSink, EngineError, EvalEngine, RunControl, RunMeta};
 use crate::report::CampaignReport;
-use crate::shard::{ShardError, ShardPlan};
+use crate::shard::{run_shard, ShardError};
 use crate::stats::{fit_knee, KneeFit};
-use crate::workload::QuantFaultyModel;
+use crate::workload::StudyNet;
 use bdlfi_data::Dataset;
 use bdlfi_faults::{BernoulliBitFlip, FaultModel, SiteSpec};
-use bdlfi_nn::Sequential;
-use bdlfi_quant::QuantModel;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
@@ -115,64 +110,60 @@ fn assemble(mut points: Vec<SweepPoint>, mut run_meta: RunMeta) -> SweepResult {
     }
 }
 
-/// The campaign at flip probability `p` of a sweep, run by every f32
-/// sweep driver. The sweep shares one golden model: the first point to
-/// run builds it (its prefix cache, golden predictions and golden error),
-/// and each point derives its own fault model from it with
-/// [`FaultyModel::with_sites`].
-fn sweep_point(
-    golden: &OnceLock<FaultyModel>,
-    model: &Sequential,
+/// The unsharded journal fingerprint of a sweep. f32 and int8 sweeps
+/// bind distinct tags, so their journals never cross-resume or
+/// cross-merge.
+fn sweep_fingerprint(quantized: bool, cfg: &CampaignConfig, ps: &[f64]) -> String {
+    let identity = (cfg.fingerprint_form(), ps.to_vec());
+    if quantized {
+        fingerprint("sweep_quant", &identity)
+    } else {
+        fingerprint("sweep", &identity)
+    }
+}
+
+/// The campaign at flip probability `p` of a sweep, run by every sweep
+/// driver. The sweep shares one golden workload: the first point to run
+/// builds it (its prefix cache, golden predictions and golden error), and
+/// each point derives its own fault model from it with
+/// [`StudyNet::with_sites`].
+fn sweep_point<N: StudyNet>(
+    golden: &OnceLock<N::Workload>,
+    net: &N,
     eval: &Arc<Dataset>,
     spec: &SiteSpec,
     p: f64,
     cfg: &CampaignConfig,
 ) -> SweepPoint {
     let fault: Arc<dyn FaultModel> = Arc::new(BernoulliBitFlip::new(p));
-    let fm = golden
-        .get_or_init(|| FaultyModel::new(model.clone(), Arc::clone(eval), spec, Arc::clone(&fault)))
-        .with_sites(spec, fault);
+    let golden = golden.get_or_init(|| {
+        net.clone()
+            .into_workload(Arc::clone(eval), spec, Arc::clone(&fault))
+    });
+    let fm = N::with_sites(golden, spec, fault);
     SweepPoint {
         p,
         report: run_campaign(&fm, cfg).journal_form(),
     }
 }
 
-/// The quantized twin of [`sweep_point`].
-fn quant_sweep_point(
-    golden: &OnceLock<QuantFaultyModel>,
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    spec: &SiteSpec,
-    p: f64,
-    cfg: &CampaignConfig,
-) -> SweepPoint {
-    let fault: Arc<dyn FaultModel> = Arc::new(BernoulliBitFlip::new(p));
-    let qfm = golden
-        .get_or_init(|| {
-            QuantFaultyModel::new(qm.clone(), Arc::clone(eval), spec, Arc::clone(&fault))
-        })
-        .with_sites(spec, fault);
-    SweepPoint {
-        p,
-        report: run_campaign(&qfm, cfg).journal_form(),
-    }
-}
-
 /// Runs one BDLFI campaign per probability in `ps`, injecting into the
-/// sites selected by `spec` of the given golden model.
+/// sites selected by `spec` of the given golden network — an f32
+/// [`bdlfi_nn::Sequential`] or an int8 [`bdlfi_quant::QuantModel`], whose
+/// representation-aware bit flips strike int8 weights, i32 biases and f32
+/// scales.
 ///
 /// # Panics
 ///
 /// Panics if `ps` is empty or contains non-probabilities.
-pub fn run_sweep(
-    model: &Sequential,
+pub fn run_sweep<N: StudyNet>(
+    net: &N,
     eval: &Arc<Dataset>,
     spec: &SiteSpec,
     ps: &[f64],
     cfg: &CampaignConfig,
 ) -> SweepResult {
-    match run_sweep_controlled(model, eval, spec, ps, cfg, &RunControl::default(), None) {
+    match run_sweep_controlled(net, eval, spec, ps, cfg, &RunControl::default(), None) {
         Ok(sweep) => sweep,
         Err(e) => panic!("sweep failed: {e}"),
     }
@@ -190,8 +181,8 @@ pub fn run_sweep(
 /// # Panics
 ///
 /// Same preconditions as [`run_sweep`].
-pub fn run_sweep_controlled(
-    model: &Sequential,
+pub fn run_sweep_controlled<N: StudyNet>(
+    net: &N,
     eval: &Arc<Dataset>,
     spec: &SiteSpec,
     ps: &[f64],
@@ -207,7 +198,7 @@ pub fn run_sweep_controlled(
     let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
     let ckpt = ckpt.cloned().map(|mut s| {
         if s.fingerprint.is_empty() {
-            s.fingerprint = fingerprint("sweep", &(cfg.fingerprint_form(), ps.to_vec()));
+            s.fingerprint = sweep_fingerprint(N::QUANTIZED, cfg, ps);
         }
         s
     });
@@ -216,88 +207,7 @@ pub fn run_sweep_controlled(
     let run_meta = engine.run_checkpointed(
         ps.len(),
         || (),
-        |(), ctx| {
-            Ok(sweep_point(
-                &golden,
-                model,
-                eval,
-                spec,
-                ps[ctx.task_id],
-                cfg,
-            ))
-        },
-        &mut sink,
-        ctl,
-        ckpt.as_ref(),
-    )?;
-    Ok(assemble(sink.into_inner(), run_meta))
-}
-
-/// [`run_sweep`] over the *quantized* workload: one BDLFI campaign per
-/// probability in `ps`, injecting representation-aware bit flips into the
-/// int8 model's sites selected by `spec`.
-///
-/// # Panics
-///
-/// Panics if `ps` is empty or contains non-probabilities.
-pub fn run_sweep_quant(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    spec: &SiteSpec,
-    ps: &[f64],
-    cfg: &CampaignConfig,
-) -> SweepResult {
-    match run_sweep_quant_controlled(qm, eval, spec, ps, cfg, &RunControl::default(), None) {
-        Ok(sweep) => sweep,
-        Err(e) => panic!("quant sweep failed: {e}"),
-    }
-}
-
-/// [`run_sweep_quant`] with cooperative cancellation and an optional
-/// checkpoint journal — the quantized twin of [`run_sweep_controlled`],
-/// with its own fingerprint namespace so f32 and int8 journals never
-/// cross-resume.
-///
-/// # Errors
-///
-/// [`EngineError::Interrupted`] on a cooperative stop, plus journal/sink
-/// failures.
-///
-/// # Panics
-///
-/// Same preconditions as [`run_sweep_quant`].
-pub fn run_sweep_quant_controlled(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    spec: &SiteSpec,
-    ps: &[f64],
-    cfg: &CampaignConfig,
-    ctl: &RunControl,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<SweepResult, EngineError> {
-    check_probabilities(ps);
-    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let ckpt = ckpt.cloned().map(|mut s| {
-        if s.fingerprint.is_empty() {
-            s.fingerprint = fingerprint("sweep_quant", &(cfg.fingerprint_form(), ps.to_vec()));
-        }
-        s
-    });
-    let golden = OnceLock::new();
-    let mut sink = CollectSink::new();
-    let run_meta = engine.run_checkpointed(
-        ps.len(),
-        || (),
-        |(), ctx| {
-            Ok(quant_sweep_point(
-                &golden,
-                qm,
-                eval,
-                spec,
-                ps[ctx.task_id],
-                cfg,
-            ))
-        },
+        |(), ctx| Ok(sweep_point(&golden, net, eval, spec, ps[ctx.task_id], cfg)),
         &mut sink,
         ctl,
         ckpt.as_ref(),
@@ -325,8 +235,8 @@ pub fn run_sweep_quant_controlled(
 ///
 /// Same preconditions as [`run_sweep`].
 #[allow(clippy::too_many_arguments)]
-pub fn run_sweep_shard(
-    model: &Sequential,
+pub fn run_sweep_shard<N: StudyNet>(
+    net: &N,
     eval: &Arc<Dataset>,
     spec: &SiteSpec,
     ps: &[f64],
@@ -337,94 +247,18 @@ pub fn run_sweep_shard(
     ckpt: &CheckpointSpec,
 ) -> Result<RunMeta, ShardError> {
     check_probabilities(ps);
-    let base = if ckpt.fingerprint.is_empty() {
-        fingerprint("sweep", &(cfg.fingerprint_form(), ps.to_vec()))
-    } else {
-        ckpt.fingerprint.clone()
-    };
-    let plan = ShardPlan::new(base, cfg.seed, ps.len(), count)?;
-    let shard_spec = CheckpointSpec {
-        fingerprint: plan.shard_fingerprint(index),
-        ..ckpt.clone()
-    };
-    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
     let golden = OnceLock::new();
-    let meta = engine.run_shard_checkpointed(
-        plan.info(index)?,
-        plan.range(index)?.len(),
+    run_shard(
+        cfg,
+        || sweep_fingerprint(N::QUANTIZED, cfg, ps),
+        ps.len(),
+        count,
+        index,
         || (),
-        |(), ctx| {
-            Ok(sweep_point(
-                &golden,
-                model,
-                eval,
-                spec,
-                ps[ctx.task_id],
-                cfg,
-            ))
-        },
-        &mut NullSink,
+        |(), ctx| Ok(sweep_point(&golden, net, eval, spec, ps[ctx.task_id], cfg)),
         ctl,
-        &shard_spec,
-    )?;
-    Ok(meta)
-}
-
-/// The quantized twin of [`run_sweep_shard`]: one shard of an int8 sweep,
-/// journaled under the plan derived from the `sweep_quant` fingerprint
-/// namespace so f32 and int8 shards never cross-merge.
-///
-/// # Errors
-///
-/// As [`run_sweep_shard`].
-///
-/// # Panics
-///
-/// Same preconditions as [`run_sweep_quant`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweep_quant_shard(
-    qm: &QuantModel,
-    eval: &Arc<Dataset>,
-    spec: &SiteSpec,
-    ps: &[f64],
-    cfg: &CampaignConfig,
-    count: usize,
-    index: usize,
-    ctl: &RunControl,
-    ckpt: &CheckpointSpec,
-) -> Result<RunMeta, ShardError> {
-    check_probabilities(ps);
-    let base = if ckpt.fingerprint.is_empty() {
-        fingerprint("sweep_quant", &(cfg.fingerprint_form(), ps.to_vec()))
-    } else {
-        ckpt.fingerprint.clone()
-    };
-    let plan = ShardPlan::new(base, cfg.seed, ps.len(), count)?;
-    let shard_spec = CheckpointSpec {
-        fingerprint: plan.shard_fingerprint(index),
-        ..ckpt.clone()
-    };
-    let engine = EvalEngine::with_workers(cfg.seed, cfg.workers);
-    let golden = OnceLock::new();
-    let meta = engine.run_shard_checkpointed(
-        plan.info(index)?,
-        plan.range(index)?.len(),
-        || (),
-        |(), ctx| {
-            Ok(quant_sweep_point(
-                &golden,
-                qm,
-                eval,
-                spec,
-                ps[ctx.task_id],
-                cfg,
-            ))
-        },
-        &mut NullSink,
-        ctl,
-        &shard_spec,
-    )?;
-    Ok(meta)
+        ckpt,
+    )
 }
 
 #[cfg(test)]
@@ -434,7 +268,7 @@ mod tests {
     use crate::completeness::CompletenessCriteria;
     use bdlfi_bayes::ChainConfig;
     use bdlfi_data::gaussian_blobs;
-    use bdlfi_nn::{mlp, optim::Sgd, TrainConfig, Trainer};
+    use bdlfi_nn::{mlp, optim::Sgd, Sequential, TrainConfig, Trainer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -532,7 +366,7 @@ mod tests {
         use bdlfi_quant::{quantize_model, CalibConfig};
         let (model, eval) = trained();
         let qm = quantize_model(&model, eval.inputs(), &CalibConfig::default());
-        let sweep = run_sweep_quant(
+        let sweep = run_sweep(
             &qm,
             &eval,
             &SiteSpec::AllParams,

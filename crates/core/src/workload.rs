@@ -8,11 +8,17 @@
 //! unchanged over the f32 [`FaultyModel`] and the int8
 //! [`QuantFaultyModel`] — the quantized-deployment workload of the paper's
 //! "memory units storing NN parameters" fault model.
+//!
+//! [`StudyNet`] lifts the same idea one level up: the study drivers
+//! ([`crate::run_sweep`], [`crate::run_layerwise`]) take either network,
+//! [`Sequential`] or [`QuantModel`], and reach its workload only through
+//! this trait.
 
 use crate::delta::{forward_delta_quant, DeltaStats, DENSIFY_THRESHOLD};
 use crate::FaultyModel;
 use bdlfi_data::Dataset;
-use bdlfi_faults::{FaultConfig, FaultModel, ResolvedSites, SiteSpec};
+use bdlfi_faults::{resolve_sites, FaultConfig, FaultModel, ResolvedSites, SiteSpec};
+use bdlfi_nn::Sequential;
 use bdlfi_quant::{QPrefixCache, QuantModel};
 use bdlfi_tensor::Tensor;
 use rand::Rng;
@@ -83,6 +89,101 @@ impl FaultWorkload for FaultyModel {
 
     fn delta_counters(&self) -> (u64, u64) {
         FaultyModel::delta_counters(self)
+    }
+}
+
+/// A network the study drivers run over, f32 or int8. A study binds the
+/// network into one golden workload and derives every task's workload
+/// from it; the trait carries only what the two precisions differ in.
+pub trait StudyNet: Clone + Sync {
+    /// The fault workload the network binds into.
+    type Workload: FaultWorkload;
+
+    /// Whether the network is quantized. Study journals of f32 and int8
+    /// networks bind distinct fingerprint tags (`"sweep"` and
+    /// `"sweep_quant"`, …), so they never cross-resume or cross-merge.
+    const QUANTIZED: bool;
+
+    /// Binds the network to `eval` and a fault model over the sites
+    /// selected by `spec`: the golden workload ([`FaultyModel::new`],
+    /// [`QuantFaultyModel::new`]).
+    fn into_workload(
+        self,
+        eval: Arc<Dataset>,
+        spec: &SiteSpec,
+        fault_model: Arc<dyn FaultModel>,
+    ) -> Self::Workload;
+
+    /// A task's workload, sharing the golden state of `golden`
+    /// ([`FaultyModel::with_sites`], [`QuantFaultyModel::with_sites`]).
+    fn with_sites(
+        golden: &Self::Workload,
+        spec: &SiteSpec,
+        fault_model: Arc<dyn FaultModel>,
+    ) -> Self::Workload;
+
+    /// `(elements, bits)` of the injectable parameters `spec` selects:
+    /// 32 bits per f32 element; int8 weights count 8 bits, i32 biases and
+    /// f32 scales 32.
+    ///
+    /// # Panics
+    ///
+    /// The f32 network panics when a layer prefix matches no parameter.
+    fn param_bits(&self, spec: &SiteSpec) -> (usize, u64);
+}
+
+impl StudyNet for Sequential {
+    type Workload = FaultyModel;
+    const QUANTIZED: bool = false;
+
+    fn into_workload(
+        self,
+        eval: Arc<Dataset>,
+        spec: &SiteSpec,
+        fault_model: Arc<dyn FaultModel>,
+    ) -> FaultyModel {
+        FaultyModel::new(self, eval, spec, fault_model)
+    }
+
+    fn with_sites(
+        golden: &FaultyModel,
+        spec: &SiteSpec,
+        fault_model: Arc<dyn FaultModel>,
+    ) -> FaultyModel {
+        golden.with_sites(spec, fault_model)
+    }
+
+    fn param_bits(&self, spec: &SiteSpec) -> (usize, u64) {
+        let elements = resolve_sites(self, spec).total_param_elements();
+        (elements, elements as u64 * 32)
+    }
+}
+
+impl StudyNet for QuantModel {
+    type Workload = QuantFaultyModel;
+    const QUANTIZED: bool = true;
+
+    fn into_workload(
+        self,
+        eval: Arc<Dataset>,
+        spec: &SiteSpec,
+        fault_model: Arc<dyn FaultModel>,
+    ) -> QuantFaultyModel {
+        QuantFaultyModel::new(self, eval, spec, fault_model)
+    }
+
+    fn with_sites(
+        golden: &QuantFaultyModel,
+        spec: &SiteSpec,
+        fault_model: Arc<dyn FaultModel>,
+    ) -> QuantFaultyModel {
+        golden.with_sites(spec, fault_model)
+    }
+
+    fn param_bits(&self, spec: &SiteSpec) -> (usize, u64) {
+        let sites = self.sites_matching(spec);
+        let bits = sites.params.iter().map(|s| s.injectable_bits()).sum();
+        (sites.total_param_elements(), bits)
     }
 }
 

@@ -23,15 +23,14 @@
 
 use crate::spec::{
     build_workload, check_layers, job_fingerprint, DriverSpec, JobSpec, ShardSpec, SpecError,
-    Workload,
 };
 use bdlfi::{
     run_campaign_adaptive_controlled, run_campaign_controlled, run_campaign_shard,
-    run_layerwise_controlled, run_layerwise_quant_controlled, run_layerwise_quant_shard,
-    run_layerwise_shard, run_sweep_controlled, run_sweep_quant_controlled, run_sweep_quant_shard,
-    run_sweep_shard, CheckpointSpec, EngineError, FaultyModel, QuantFaultyModel, RunControl,
-    RunMeta, RunObserver, ShardError,
+    run_layerwise_controlled, run_layerwise_shard, run_sweep_controlled, run_sweep_shard,
+    CampaignConfig, CheckpointSpec, EngineError, RunControl, RunMeta, RunObserver, ShardError,
+    StudyNet,
 };
+use bdlfi_data::Dataset;
 use bdlfi_faults::BernoulliBitFlip;
 use serde::{Deserialize, Number, Serialize, Value};
 use std::collections::BTreeMap;
@@ -635,216 +634,85 @@ pub fn run_driver(
     };
     let mut cfg = *spec.config();
     cfg.workers = workers;
+    match workload.quant {
+        None => run_on(spec, workload.model, workload.eval, &cfg, ctl, ckpt),
+        Some(qm) => run_on(spec, qm, workload.eval, &cfg, ctl, ckpt),
+    }
+}
+
+/// Runs the spec's driver over `net`, f32 or int8 alike; a shard spec
+/// goes to [`run_shard_job`].
+fn run_on<N: StudyNet>(
+    spec: &JobSpec,
+    net: N,
+    eval: Arc<Dataset>,
+    cfg: &CampaignConfig,
+    ctl: &RunControl,
+    ckpt: &CheckpointSpec,
+) -> JobOutcome {
     if let Some(shard) = spec.shard {
-        return run_shard_job(spec, workload, &cfg, shard, ctl, ckpt);
+        return run_shard_job(spec, net, eval, cfg, shard, ctl, ckpt);
     }
     let sites = &spec.scenario.sites;
     let fault = Arc::new(BernoulliBitFlip::new(spec.scenario.flip_probability));
-
-    match (&spec.driver, workload.quant) {
-        (DriverSpec::Campaign { .. }, None) => {
-            let fm = FaultyModel::new(workload.model, workload.eval, sites, fault);
-            match run_campaign_controlled(&fm, &cfg, ctl, Some(ckpt)) {
-                Ok(report) => {
-                    let meta = report.run_meta;
-                    tagged_report("campaign", report.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
+    let result = match &spec.driver {
+        DriverSpec::Campaign { .. } => {
+            let fm = net.into_workload(eval, sites, fault);
+            run_campaign_controlled(&fm, cfg, ctl, Some(ckpt))
+                .map(|r| ("campaign", r.to_json_value(), r.run_meta))
         }
-        (DriverSpec::Campaign { .. }, Some(qm)) => {
-            let fm = QuantFaultyModel::new(qm, workload.eval, sites, fault);
-            match run_campaign_controlled(&fm, &cfg, ctl, Some(ckpt)) {
-                Ok(report) => {
-                    let meta = report.run_meta;
-                    tagged_report("campaign", report.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
+        DriverSpec::AdaptiveCampaign {
+            max_samples_per_chain,
+            ..
+        } => {
+            let fm = net.into_workload(eval, sites, fault);
+            run_campaign_adaptive_controlled(&fm, cfg, *max_samples_per_chain, ctl, Some(ckpt))
+                .map(|r| ("campaign", r.to_json_value(), r.run_meta))
         }
-        (
-            DriverSpec::AdaptiveCampaign {
-                max_samples_per_chain,
-                ..
-            },
-            None,
-        ) => {
-            let fm = FaultyModel::new(workload.model, workload.eval, sites, fault);
-            match run_campaign_adaptive_controlled(
-                &fm,
-                &cfg,
-                *max_samples_per_chain,
-                ctl,
-                Some(ckpt),
-            ) {
-                Ok(report) => {
-                    let meta = report.run_meta;
-                    tagged_report("campaign", report.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
+        DriverSpec::Sweep { ps, .. } => {
+            run_sweep_controlled(&net, &eval, sites, ps, cfg, ctl, Some(ckpt))
+                .map(|r| ("sweep", r.to_json_value(), r.run_meta))
         }
-        (
-            DriverSpec::AdaptiveCampaign {
-                max_samples_per_chain,
-                ..
-            },
-            Some(qm),
-        ) => {
-            let fm = QuantFaultyModel::new(qm, workload.eval, sites, fault);
-            match run_campaign_adaptive_controlled(
-                &fm,
-                &cfg,
-                *max_samples_per_chain,
-                ctl,
-                Some(ckpt),
-            ) {
-                Ok(report) => {
-                    let meta = report.run_meta;
-                    tagged_report("campaign", report.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
-        }
-        (DriverSpec::Sweep { ps, .. }, None) => {
-            match run_sweep_controlled(
-                &workload.model,
-                &workload.eval,
-                sites,
-                ps,
-                &cfg,
-                ctl,
-                Some(ckpt),
-            ) {
-                Ok(result) => {
-                    let meta = result.run_meta;
-                    tagged_report("sweep", result.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
-        }
-        (DriverSpec::Sweep { ps, .. }, Some(qm)) => {
-            match run_sweep_quant_controlled(&qm, &workload.eval, sites, ps, &cfg, ctl, Some(ckpt))
-            {
-                Ok(result) => {
-                    let meta = result.run_meta;
-                    tagged_report("sweep", result.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
-        }
-        (DriverSpec::Layerwise { layers, budget, .. }, None) => {
+        DriverSpec::Layerwise { layers, budget, .. } => {
             let refs: Vec<&str> = layers.iter().map(String::as_str).collect();
-            match run_layerwise_controlled(
-                &workload.model,
-                &workload.eval,
-                &refs,
-                *budget,
-                &cfg,
-                ctl,
-                Some(ckpt),
-            ) {
-                Ok(result) => {
-                    let meta = result.run_meta;
-                    tagged_report("layerwise", result.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
+            run_layerwise_controlled(&net, &eval, &refs, *budget, cfg, ctl, Some(ckpt))
+                .map(|r| ("layerwise", r.to_json_value(), r.run_meta))
         }
-        (DriverSpec::Layerwise { layers, budget, .. }, Some(qm)) => {
-            let refs: Vec<&str> = layers.iter().map(String::as_str).collect();
-            match run_layerwise_quant_controlled(
-                &qm,
-                &workload.eval,
-                &refs,
-                *budget,
-                &cfg,
-                ctl,
-                Some(ckpt),
-            ) {
-                Ok(result) => {
-                    let meta = result.run_meta;
-                    tagged_report("layerwise", result.to_json_value(), meta)
-                }
-                Err(e) => engine_outcome(e),
-            }
-        }
+    };
+    match result {
+        Ok((kind, report, meta)) => tagged_report(kind, report, meta),
+        Err(e) => engine_outcome(e),
     }
 }
 
 /// Runs one shard of the spec's driver. The shard's deliverable is its
 /// journal (collect it via `GET /jobs/<id>/journal`); the report is a
 /// small summary with the shard coordinates and engine accounting.
-fn run_shard_job(
+fn run_shard_job<N: StudyNet>(
     spec: &JobSpec,
-    workload: Workload,
-    cfg: &bdlfi::CampaignConfig,
+    net: N,
+    eval: Arc<Dataset>,
+    cfg: &CampaignConfig,
     shard: ShardSpec,
     ctl: &RunControl,
     ckpt: &CheckpointSpec,
 ) -> JobOutcome {
     let sites = &spec.scenario.sites;
     let fault = Arc::new(BernoulliBitFlip::new(spec.scenario.flip_probability));
-    let result = match (&spec.driver, workload.quant) {
-        (DriverSpec::Campaign { .. }, None) => {
-            let fm = FaultyModel::new(workload.model, workload.eval, sites, fault);
-            run_campaign_shard(&fm, cfg, shard.count, shard.index, ctl, ckpt)
+    let (count, index) = (shard.count, shard.index);
+    let result = match &spec.driver {
+        DriverSpec::Campaign { .. } => {
+            let fm = net.into_workload(eval, sites, fault);
+            run_campaign_shard(&fm, cfg, count, index, ctl, ckpt)
         }
-        (DriverSpec::Campaign { .. }, Some(qm)) => {
-            let fm = QuantFaultyModel::new(qm, workload.eval, sites, fault);
-            run_campaign_shard(&fm, cfg, shard.count, shard.index, ctl, ckpt)
+        DriverSpec::Sweep { ps, .. } => {
+            run_sweep_shard(&net, &eval, sites, ps, cfg, count, index, ctl, ckpt)
         }
-        (DriverSpec::Sweep { ps, .. }, None) => run_sweep_shard(
-            &workload.model,
-            &workload.eval,
-            sites,
-            ps,
-            cfg,
-            shard.count,
-            shard.index,
-            ctl,
-            ckpt,
-        ),
-        (DriverSpec::Sweep { ps, .. }, Some(qm)) => run_sweep_quant_shard(
-            &qm,
-            &workload.eval,
-            sites,
-            ps,
-            cfg,
-            shard.count,
-            shard.index,
-            ctl,
-            ckpt,
-        ),
-        (DriverSpec::Layerwise { layers, budget, .. }, None) => {
+        DriverSpec::Layerwise { layers, budget, .. } => {
             let refs: Vec<&str> = layers.iter().map(String::as_str).collect();
-            run_layerwise_shard(
-                &workload.model,
-                &workload.eval,
-                &refs,
-                *budget,
-                cfg,
-                shard.count,
-                shard.index,
-                ctl,
-                ckpt,
-            )
+            run_layerwise_shard(&net, &eval, &refs, *budget, cfg, count, index, ctl, ckpt)
         }
-        (DriverSpec::Layerwise { layers, budget, .. }, Some(qm)) => {
-            let refs: Vec<&str> = layers.iter().map(String::as_str).collect();
-            run_layerwise_quant_shard(
-                &qm,
-                &workload.eval,
-                &refs,
-                *budget,
-                cfg,
-                shard.count,
-                shard.index,
-                ctl,
-                ckpt,
-            )
-        }
-        (DriverSpec::AdaptiveCampaign { .. }, _) => {
+        DriverSpec::AdaptiveCampaign { .. } => {
             // Unreachable past validation; refuse rather than panic.
             return JobOutcome::Failed("adaptive campaigns cannot be sharded".to_string());
         }
@@ -852,14 +720,8 @@ fn run_shard_job(
     match result {
         Ok(meta) => {
             let summary = Value::Object(vec![
-                (
-                    "index".to_string(),
-                    Value::Number(Number::U(shard.index as u64)),
-                ),
-                (
-                    "count".to_string(),
-                    Value::Number(Number::U(shard.count as u64)),
-                ),
+                ("index".to_string(), Value::Number(Number::U(index as u64))),
+                ("count".to_string(), Value::Number(Number::U(count as u64))),
                 ("meta".to_string(), meta.to_json_value()),
             ]);
             tagged_report("shard", summary, meta)

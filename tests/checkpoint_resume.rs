@@ -17,12 +17,12 @@ use bdlfi_suite::baseline::{
 };
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
-    boundary_map, boundary_map_controlled, run_campaign, run_campaign_adaptive,
-    run_campaign_adaptive_controlled, run_campaign_controlled, run_layerwise,
-    run_layerwise_controlled, run_layerwise_quant_controlled, run_protection_study,
-    run_protection_study_controlled, run_sweep, run_sweep_controlled, run_sweep_quant_controlled,
+    boundary_map, boundary_map_controlled, merge_shards, read_journal, run_campaign,
+    run_campaign_adaptive, run_campaign_adaptive_controlled, run_campaign_controlled,
+    run_campaign_shard, run_layerwise, run_layerwise_controlled, run_layerwise_shard,
+    run_protection_study, run_protection_study_controlled, run_sweep, run_sweep_controlled,
     BoundaryConfig, CampaignConfig, CampaignReport, CheckpointError, CheckpointSpec, EngineError,
-    FaultyModel, KernelChoice, LayerBudget, RunControl,
+    FaultyModel, KernelChoice, LayerBudget, RunControl, RunMeta, ShardPlan,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
@@ -42,6 +42,15 @@ fn worker_counts() -> Vec<usize> {
     let mut counts = vec![1, host];
     counts.dedup();
     counts
+}
+
+/// `(interrupt, resume)` worker-count pairs: each of [`worker_counts`]
+/// on both sides, plus a journal interrupted at one worker and resumed
+/// at two (the worker count is scheduling, not journal identity).
+fn worker_pairs() -> Vec<(usize, usize)> {
+    let mut pairs: Vec<(usize, usize)> = worker_counts().into_iter().map(|w| (w, w)).collect();
+    pairs.push((1, 2));
+    pairs
 }
 
 /// A per-test, per-process scratch directory (tests in one binary run
@@ -168,14 +177,17 @@ fn adaptive_campaign_resumes_bit_identically() {
     let cfg_for = |workers| campaign_cfg(42, 2, 15, workers);
     let reference = run_campaign_adaptive(&fm, &cfg_for(1), 60);
     let scratch = Scratch::new("adaptive");
-    for workers in worker_counts() {
-        let what = format!("adaptive campaign @{workers}");
+    for (stop, workers) in worker_pairs() {
+        let what = format!("adaptive campaign @{stop}->{workers}");
         let cfg = cfg_for(workers);
-        let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
+        let spec = CheckpointSpec::new(
+            scratch.path(&format!("w{stop}_{workers}.ckpt")),
+            String::new(),
+        );
         // stop_after counts completed *segments* for the adaptive driver.
         let err = run_campaign_adaptive_controlled(
             &fm,
-            &cfg,
+            &cfg_for(stop),
             60,
             &RunControl::stop_after(2),
             Some(&spec),
@@ -290,7 +302,10 @@ fn layerwise_resumes_bit_identically() {
 /// sweep studies shared one golden model across their tasks. They must
 /// still resume — the fingerprints did not move — and the finished
 /// studies must match uninterrupted runs entry for entry, journaled
-/// entries included.
+/// entries included. The two `*_shard.ckpt` fixtures were written before
+/// the study drivers became generic over the network and the shard
+/// runners shared one plan-and-journal helper; they pin the per-shard
+/// fingerprints those runners derive.
 #[test]
 fn journals_written_before_the_shared_golden_model_still_resume() {
     let (model, eval) = trained_mlp();
@@ -325,9 +340,8 @@ fn journals_written_before_the_shared_golden_model_still_resume() {
     assert_eq!(resumed.run_meta.resumed_from, Some(2));
     assert_eq!(json(&resumed.layers), json(&fresh.layers), "f32 layerwise");
 
-    let fresh =
-        run_layerwise_quant_controlled(&qm, &eval, &layers, budget, &cfg, &ctl, None).unwrap();
-    let resumed = run_layerwise_quant_controlled(
+    let fresh = run_layerwise_controlled(&qm, &eval, &layers, budget, &cfg, &ctl, None).unwrap();
+    let resumed = run_layerwise_controlled(
         &qm,
         &eval,
         &layers,
@@ -354,8 +368,8 @@ fn journals_written_before_the_shared_golden_model_still_resume() {
     assert_eq!(resumed.run_meta.resumed_from, Some(2));
     assert_eq!(json(&resumed.points), json(&fresh.points), "f32 sweep");
 
-    let fresh = run_sweep_quant_controlled(&qm, &eval, &all, &ps, &cfg, &ctl, None).unwrap();
-    let resumed = run_sweep_quant_controlled(
+    let fresh = run_sweep_controlled(&qm, &eval, &all, &ps, &cfg, &ctl, None).unwrap();
+    let resumed = run_sweep_controlled(
         &qm,
         &eval,
         &all,
@@ -367,6 +381,70 @@ fn journals_written_before_the_shared_golden_model_still_resume() {
     .unwrap_or_else(|e| panic!("int8 sweep journal: {e}"));
     assert_eq!(resumed.run_meta.resumed_from, Some(2));
     assert_eq!(json(&resumed.points), json(&fresh.points), "int8 sweep");
+
+    // Interrupted 2-way shard journals (one of two tasks done): each
+    // resumes, merges with a fresh sibling shard into the single-process
+    // journal byte for byte, and finalizes into the single-process report.
+    let merge = |whole: &PathBuf, shards: &[PathBuf], name: &str| {
+        let header = read_journal(whole).expect("single-process journal").header;
+        let plan = ShardPlan::new(header.fingerprint, header.seed, header.tasks, 2).unwrap();
+        let merged = scratch.path(name);
+        merge_shards(&plan, shards, &merged).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            std::fs::read(&merged).unwrap(),
+            std::fs::read(whole).unwrap(),
+            "{name}"
+        );
+        CheckpointSpec::new(merged, String::new()).finalizing()
+    };
+    let fresh_spec = |name: &str| CheckpointSpec::new(scratch.path(name), String::new());
+
+    let fm = FaultyModel::new(
+        model.clone(),
+        Arc::clone(&eval),
+        &all,
+        Arc::new(BernoulliBitFlip::new(1e-2)),
+    );
+    let cfg4 = campaign_cfg(45, 4, 8, 1);
+    let whole = fresh_spec("campaign_whole.ckpt");
+    let mut fresh = run_campaign_controlled(&fm, &cfg4, &ctl, Some(&whole)).unwrap();
+    let shard1 = resume("campaign_shard.ckpt");
+    let meta = run_campaign_shard(&fm, &cfg4, 2, 1, &ctl, &shard1)
+        .unwrap_or_else(|e| panic!("f32 campaign shard journal: {e}"));
+    assert_eq!(meta.resumed_from, Some(1));
+    let shard0 = fresh_spec("campaign_shard0.ckpt");
+    run_campaign_shard(&fm, &cfg4, 2, 0, &ctl, &shard0).unwrap();
+    let finalize = merge(
+        &whole.path,
+        &[shard0.path, shard1.path],
+        "campaign_merged.ckpt",
+    );
+    let mut merged = run_campaign_controlled(&fm, &cfg4, &ctl, Some(&finalize)).unwrap();
+    fresh.run_meta = RunMeta::default();
+    merged.run_meta = RunMeta::default();
+    assert_eq!(json(&merged), json(&fresh), "f32 campaign shards");
+
+    let whole = fresh_spec("layerwise_quant_whole.ckpt");
+    let fresh =
+        run_layerwise_controlled(&qm, &eval, &layers, budget, &cfg, &ctl, Some(&whole)).unwrap();
+    let shard0 = resume("layerwise_quant_shard.ckpt");
+    let meta = run_layerwise_shard(&qm, &eval, &layers, budget, &cfg, 2, 0, &ctl, &shard0)
+        .unwrap_or_else(|e| panic!("int8 layerwise shard journal: {e}"));
+    assert_eq!(meta.resumed_from, Some(1));
+    let shard1 = fresh_spec("layerwise_quant_shard1.ckpt");
+    run_layerwise_shard(&qm, &eval, &layers, budget, &cfg, 2, 1, &ctl, &shard1).unwrap();
+    let finalize = merge(
+        &whole.path,
+        &[shard0.path, shard1.path],
+        "layerwise_quant_merged.ckpt",
+    );
+    let merged =
+        run_layerwise_controlled(&qm, &eval, &layers, budget, &cfg, &ctl, Some(&finalize)).unwrap();
+    assert_eq!(
+        json(&merged.layers),
+        json(&fresh.layers),
+        "int8 layerwise shards"
+    );
 }
 
 #[test]
@@ -472,12 +550,15 @@ fn random_fi_resumes_bit_identically() {
     };
     let reference = fi.run(&cfg_for(1));
     let scratch = Scratch::new("random_fi");
-    for workers in worker_counts() {
-        let what = format!("random FI @{workers}");
+    for (stop, workers) in worker_pairs() {
+        let what = format!("random FI @{stop}->{workers}");
         let cfg = cfg_for(workers);
-        let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
+        let spec = CheckpointSpec::new(
+            scratch.path(&format!("w{stop}_{workers}.ckpt")),
+            String::new(),
+        );
         let err = fi
-            .run_controlled(&cfg, &RunControl::stop_after(23), Some(&spec))
+            .run_controlled(&cfg_for(stop), &RunControl::stop_after(23), Some(&spec))
             .unwrap_err();
         assert_interrupted(err, 23, &what);
         let resumed = fi
@@ -545,15 +626,18 @@ fn layer_fi_study_resumes_bit_identically() {
     };
     let reference = run_layer_fi(&model, &eval, &layers, &cfg_for(1));
     let scratch = Scratch::new("layer_fi");
-    for workers in worker_counts() {
-        let what = format!("layer FI @{workers}");
+    for (stop, workers) in worker_pairs() {
+        let what = format!("layer FI @{stop}->{workers}");
         let cfg = cfg_for(workers);
-        let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
+        let spec = CheckpointSpec::new(
+            scratch.path(&format!("w{stop}_{workers}.ckpt")),
+            String::new(),
+        );
         let err = run_layer_fi_controlled(
             &model,
             &eval,
             &layers,
-            &cfg,
+            &cfg_for(stop),
             &RunControl::stop_after(1),
             Some(&spec),
         )

@@ -4,9 +4,8 @@
 
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
-    boundary_map, log_spaced_probabilities, run_campaign, run_layerwise, run_layerwise_quant,
-    run_sweep, run_sweep_quant, BoundaryConfig, CampaignConfig, CampaignReport, FaultyModel,
-    KernelChoice, LayerBudget, QuantFaultyModel,
+    boundary_map, log_spaced_probabilities, run_campaign, run_layerwise, run_sweep, BoundaryConfig,
+    CampaignConfig, CampaignReport, FaultyModel, KernelChoice, LayerBudget, QuantFaultyModel,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, SiteSpec};
@@ -207,7 +206,7 @@ fn study_reports_match_fresh_workloads_per_task() {
             pt.p
         );
     }
-    for pt in &run_sweep_quant(&qm, &test, &all, &ps, &cfg).points {
+    for pt in &run_sweep(&qm, &test, &all, &ps, &cfg).points {
         assert_eq!(
             json(&pt.report),
             fresh_i8(&all, pt.p),
@@ -225,7 +224,7 @@ fn study_reports_match_fresh_workloads_per_task() {
         let want = fresh_f32(&layer_spec(&l.layer), l.p);
         assert_eq!(json(&l.report), want, "f32 layerwise {}", l.layer);
     }
-    for l in &run_layerwise_quant(&qm, &test, &layers, budget, &cfg).layers {
+    for l in &run_layerwise(&qm, &test, &layers, budget, &cfg).layers {
         let want = fresh_i8(&layer_spec(&l.layer), l.p);
         assert_eq!(json(&l.report), want, "int8 layerwise {}", l.layer);
     }

@@ -12,9 +12,9 @@ use bdlfi_suite::baseline::{
 };
 use bdlfi_suite::bayes::ChainConfig;
 use bdlfi_suite::core::{
-    run_campaign, run_campaign_controlled, run_layerwise_quant, run_layerwise_quant_controlled,
-    run_sweep_quant, run_sweep_quant_controlled, CampaignConfig, CampaignReport, CheckpointSpec,
-    EngineError, KernelChoice, LayerBudget, QuantFaultyModel, RunControl, RunMeta,
+    run_campaign, run_campaign_controlled, run_layerwise, run_layerwise_controlled, run_sweep,
+    run_sweep_controlled, CampaignConfig, CampaignReport, CheckpointSpec, EngineError,
+    KernelChoice, LayerBudget, QuantFaultyModel, RunControl, RunMeta,
 };
 use bdlfi_suite::data::{gaussian_blobs, Dataset};
 use bdlfi_suite::faults::{BernoulliBitFlip, BitRange, Repr, SiteSpec};
@@ -186,7 +186,7 @@ fn quant_campaign_reports_int8_scale_flip_counts() {
 fn quant_sweep_resumes_bit_identically() {
     let (qm, eval) = quantized_mlp(&[16, 16]);
     let ps = [1e-4, 1e-3, 1e-2];
-    let reference = run_sweep_quant(
+    let reference = run_sweep(
         &qm,
         &eval,
         &SiteSpec::AllParams,
@@ -198,7 +198,7 @@ fn quant_sweep_resumes_bit_identically() {
         let what = format!("quant sweep @{workers}");
         let cfg = campaign_cfg(74, 2, 20, workers);
         let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
-        let err = run_sweep_quant_controlled(
+        let err = run_sweep_controlled(
             &qm,
             &eval,
             &SiteSpec::AllParams,
@@ -209,7 +209,7 @@ fn quant_sweep_resumes_bit_identically() {
         )
         .unwrap_err();
         assert_interrupted(err, 1, &what);
-        let resumed = run_sweep_quant_controlled(
+        let resumed = run_sweep_controlled(
             &qm,
             &eval,
             &SiteSpec::AllParams,
@@ -238,13 +238,13 @@ fn quant_layerwise_resumes_bit_identically() {
     let (qm, eval) = quantized_mlp(&[16, 16]);
     let layers = ["fc1", "fc2", "fc3"];
     let budget = LayerBudget::ExpectedFlips(2.0);
-    let reference = run_layerwise_quant(&qm, &eval, &layers, budget, &campaign_cfg(75, 2, 20, 1));
+    let reference = run_layerwise(&qm, &eval, &layers, budget, &campaign_cfg(75, 2, 20, 1));
     let scratch = Scratch::new("layerwise");
     for workers in worker_counts() {
         let what = format!("quant layerwise @{workers}");
         let cfg = campaign_cfg(75, 2, 20, workers);
         let spec = CheckpointSpec::new(scratch.path(&format!("w{workers}.ckpt")), String::new());
-        let err = run_layerwise_quant_controlled(
+        let err = run_layerwise_controlled(
             &qm,
             &eval,
             &layers,
@@ -255,7 +255,7 @@ fn quant_layerwise_resumes_bit_identically() {
         )
         .unwrap_err();
         assert_interrupted(err, 2, &what);
-        let resumed = run_layerwise_quant_controlled(
+        let resumed = run_layerwise_controlled(
             &qm,
             &eval,
             &layers,

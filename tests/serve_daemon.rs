@@ -5,14 +5,21 @@
 
 use bdlfi_bayes::ChainConfig;
 use bdlfi_serve::client;
-use bdlfi_serve::spec::{DatasetSpec, DriverSpec, JobSpec, ModelSpec, ScenarioSpec};
-use bdlfi_serve::{Daemon, DaemonHandle, ServeConfig};
+use bdlfi_serve::spec::{
+    build_workload, DatasetSpec, DriverSpec, JobSpec, ModelSpec, ScenarioSpec, ShardSpec,
+};
+use bdlfi_serve::{job_fingerprint, run_driver, Daemon, DaemonHandle, JobOutcome, ServeConfig};
 use serde::{Number, Serialize, Value};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bdlfi_faults::SiteSpec;
-use bdlfi_suite::core::CampaignConfig;
+use bdlfi_faults::{BernoulliBitFlip, SiteSpec};
+use bdlfi_suite::core::{
+    merge_shards, run_campaign_adaptive_controlled, run_campaign_controlled,
+    run_layerwise_controlled, run_sweep_controlled, CampaignConfig, CheckpointSpec, FaultyModel,
+    LayerBudget, QuantFaultyModel, RunControl, ShardPlan,
+};
 
 struct Scratch(PathBuf);
 
@@ -412,4 +419,211 @@ fn bad_submissions_and_unknown_jobs_get_typed_http_errors() {
     let resp = client::request(&addr, "GET", "/healthz", None, Duration::from_secs(10)).unwrap();
     assert_eq!(resp.status, 200);
     drop(handle);
+}
+
+// ---- driver dispatch: every driver × precision, whole and sharded -----
+
+/// Every driver the daemon dispatches, sized for a tiny MLP.
+fn tiny_drivers() -> Vec<DriverSpec> {
+    let config = CampaignConfig {
+        chains: 2,
+        chain: ChainConfig {
+            burn_in: 1,
+            samples: 4,
+            thin: 1,
+        },
+        seed: 7,
+        workers: 1,
+        ..CampaignConfig::default()
+    };
+    vec![
+        DriverSpec::Campaign { config },
+        DriverSpec::AdaptiveCampaign {
+            config,
+            max_samples_per_chain: 8,
+        },
+        DriverSpec::Sweep {
+            ps: vec![1e-3, 1e-2],
+            config,
+        },
+        DriverSpec::Layerwise {
+            layers: vec!["fc1".to_string(), "fc2".to_string()],
+            budget: LayerBudget::ExpectedFlips(4.0),
+            config,
+        },
+    ]
+}
+
+/// A tiny MLP job running `driver` in f32 or int8.
+fn tiny_spec(driver: DriverSpec, quantized: bool) -> JobSpec {
+    let mut spec = slow_spec(0);
+    spec.scenario.dataset.examples = 60;
+    spec.scenario.model.hidden = vec![8];
+    spec.scenario.model.epochs = 2;
+    spec.scenario.quantized = quantized;
+    spec.scenario.flip_probability = 1e-2;
+    spec.driver = driver;
+    spec
+}
+
+/// The report the core driver produces in-process on the job's workload.
+fn core_report(spec: &JobSpec) -> Value {
+    let workload = build_workload(&spec.scenario).expect("workload builds");
+    let cfg = *spec.config();
+    let sites = &spec.scenario.sites;
+    let fault = Arc::new(BernoulliBitFlip::new(spec.scenario.flip_probability));
+    let ctl = RunControl::new();
+    let eval = workload.eval;
+    match (&spec.driver, workload.quant) {
+        (DriverSpec::Campaign { .. }, None) => {
+            let fm = FaultyModel::new(workload.model, eval, sites, fault);
+            run_campaign_controlled(&fm, &cfg, &ctl, None)
+                .unwrap()
+                .to_json_value()
+        }
+        (DriverSpec::Campaign { .. }, Some(qm)) => {
+            let fm = QuantFaultyModel::new(qm, eval, sites, fault);
+            run_campaign_controlled(&fm, &cfg, &ctl, None)
+                .unwrap()
+                .to_json_value()
+        }
+        (
+            DriverSpec::AdaptiveCampaign {
+                max_samples_per_chain,
+                ..
+            },
+            None,
+        ) => {
+            let fm = FaultyModel::new(workload.model, eval, sites, fault);
+            run_campaign_adaptive_controlled(&fm, &cfg, *max_samples_per_chain, &ctl, None)
+                .unwrap()
+                .to_json_value()
+        }
+        (
+            DriverSpec::AdaptiveCampaign {
+                max_samples_per_chain,
+                ..
+            },
+            Some(qm),
+        ) => {
+            let fm = QuantFaultyModel::new(qm, eval, sites, fault);
+            run_campaign_adaptive_controlled(&fm, &cfg, *max_samples_per_chain, &ctl, None)
+                .unwrap()
+                .to_json_value()
+        }
+        (DriverSpec::Sweep { ps, .. }, None) => {
+            run_sweep_controlled(&workload.model, &eval, sites, ps, &cfg, &ctl, None)
+                .unwrap()
+                .to_json_value()
+        }
+        (DriverSpec::Sweep { ps, .. }, Some(qm)) => {
+            run_sweep_controlled(&qm, &eval, sites, ps, &cfg, &ctl, None)
+                .unwrap()
+                .to_json_value()
+        }
+        (DriverSpec::Layerwise { layers, budget, .. }, None) => {
+            let refs: Vec<&str> = layers.iter().map(String::as_str).collect();
+            run_layerwise_controlled(&workload.model, &eval, &refs, *budget, &cfg, &ctl, None)
+                .unwrap()
+                .to_json_value()
+        }
+        (DriverSpec::Layerwise { layers, budget, .. }, Some(qm)) => {
+            let refs: Vec<&str> = layers.iter().map(String::as_str).collect();
+            run_layerwise_controlled(&qm, &eval, &refs, *budget, &cfg, &ctl, None)
+                .unwrap()
+                .to_json_value()
+        }
+    }
+}
+
+/// A report's JSON with its top-level `run_meta` (wall-clock timings,
+/// resume accounting) nulled; everything nested stays byte-exact.
+fn without_run_meta(report: &Value) -> String {
+    let mut report = report.clone();
+    if let Value::Object(entries) = &mut report {
+        for (key, val) in entries.iter_mut() {
+            if key == "run_meta" {
+                *val = Value::Null;
+            }
+        }
+    }
+    serde_json::to_string(&report).unwrap()
+}
+
+/// Runs `spec` through the daemon's dispatch, journaling to `journal`
+/// (or finalizing it), and returns the inner driver report.
+fn dispatch(spec: &JobSpec, journal: PathBuf, finalize: bool) -> Value {
+    let mut ckpt = CheckpointSpec::new(journal, job_fingerprint(spec));
+    if finalize {
+        ckpt = ckpt.finalizing();
+    }
+    match run_driver(spec, 1, &RunControl::new(), &ckpt) {
+        JobOutcome::Done { report, .. } => report.get("report").cloned().expect("tagged report"),
+        other => panic!("dispatch did not complete: {other:?}"),
+    }
+}
+
+#[test]
+fn run_driver_matches_the_core_driver_for_every_driver_and_precision() {
+    let scratch = Scratch::new("dispatch");
+    for quantized in [false, true] {
+        for (i, driver) in tiny_drivers().into_iter().enumerate() {
+            let spec = tiny_spec(driver, quantized);
+            let what = format!("driver {i}, quantized {quantized}");
+            let journal = scratch.path().join(format!("d{i}_q{quantized}.jsonl"));
+            let served = dispatch(&spec, journal, false);
+            assert_eq!(
+                without_run_meta(&served),
+                without_run_meta(&core_report(&spec)),
+                "{what}"
+            );
+        }
+    }
+}
+
+#[test]
+fn sharded_jobs_merge_and_finalize_to_the_whole_run_for_every_precision() {
+    let scratch = Scratch::new("dispatch-shards");
+    for quantized in [false, true] {
+        for (i, driver) in tiny_drivers().into_iter().enumerate() {
+            if matches!(driver, DriverSpec::AdaptiveCampaign { .. }) {
+                continue;
+            }
+            let whole = tiny_spec(driver, quantized);
+            let what = format!("driver {i}, quantized {quantized}");
+            let dir = scratch.path().join(format!("d{i}_q{quantized}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let whole_report = dispatch(&whole, dir.join("whole.jsonl"), false);
+
+            let count = 2;
+            let mut shard_paths = Vec::new();
+            for index in 0..count {
+                let mut shard = whole.clone();
+                shard.shard = Some(ShardSpec { index, count });
+                let path = dir.join(format!("shard{index}.jsonl"));
+                dispatch(&shard, path.clone(), false);
+                shard_paths.push(path);
+            }
+            let plan = ShardPlan::new(
+                job_fingerprint(&whole),
+                whole.config().seed,
+                whole.tasks(),
+                count,
+            )
+            .unwrap();
+            let merged = dir.join("merged.jsonl");
+            merge_shards(&plan, &shard_paths, &merged).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(
+                std::fs::read(&merged).unwrap(),
+                std::fs::read(dir.join("whole.jsonl")).unwrap(),
+                "{what}: merged journal"
+            );
+            let finalized = dispatch(&whole, merged, true);
+            assert_eq!(
+                without_run_meta(&finalized),
+                without_run_meta(&whole_report),
+                "{what}: finalized report"
+            );
+        }
+    }
 }
